@@ -13,10 +13,9 @@ from .core import (
     ClassPools,
     DatasetBundle,
     RandomSource,
-    Sample,
+    Split,
     TrainingSet,
     class_balance,
-    draw_from_pool,
     split_initial,
 )
 from .engine import (
@@ -54,6 +53,7 @@ from .strategy import (
     allocate_proportional,
     entropy_of,
     largest_remainder,
+    row_entropies,
     sample_fraction,
     select_entropy_topk,
 )

@@ -1,8 +1,10 @@
 """Domain types, dataset handling, pool mechanics, and seeded randomness.
 
-Everything downstream (strategies, the learning loop, the generators) moves
-samples between two places: a growing training set and per-class pools of
-not-yet-drawn samples. The types here own that bookkeeping and the
+Data is columnar: each :class:`Split` is a read-only ``n x d`` float64
+feature matrix ``X``, int64 labels ``y`` and ``ids``, row ``i`` being one
+sample. The growing training set and the per-class pools of not-yet-drawn
+samples are int64 row-index arrays into ``bundle.train``; the learner gathers
+the rows it trains on. The types here own that bookkeeping and the
 determinism guarantees the sweep runner relies on.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,13 +21,12 @@ from .errors import ConfigurationError
 
 __all__ = [
     "ClassId",
-    "Sample",
+    "Split",
     "DatasetBundle",
     "ClassPools",
     "TrainingSet",
     "RandomSource",
     "split_initial",
-    "draw_from_pool",
     "class_balance",
 ]
 
@@ -38,53 +39,57 @@ class ClassId:
     name: str
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One labeled data point.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
-    ``features`` is a read-only 1-d float vector; ``label`` is the index of a
-    registered :class:`ClassId`. Identity is the ``id`` string, which stays
-    stable through pool moves and report emission.
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """One split as columns: row ``i`` is sample ``ids[i]`` with features ``X[i]`` and label ``y[i]``.
+
+    The arrays are coerced to C-contiguous float64 / int64 / str and exposed read-only.
     """
 
-    id: str
-    features: np.ndarray
-    label: int
+    X: np.ndarray
+    y: np.ndarray
+    ids: np.ndarray
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "X", _read_only(np.ascontiguousarray(self.X, dtype=np.float64)))
+        object.__setattr__(self, "y", _read_only(np.asarray(self.y, dtype=np.int64)))
+        object.__setattr__(self, "ids", _read_only(np.asarray(self.ids, dtype=str)))
 
-def _check_samples(split_name: str, samples: Sequence[Sample], feature_dim: int, num_classes: int) -> None:
-    for s in samples:
-        if s.features.ndim != 1 or s.features.shape[0] != feature_dim:
-            raise ConfigurationError(
-                f"{split_name}: sample {s.id!r} has feature shape {s.features.shape}, expected ({feature_dim},)"
-            )
-        if not np.all(np.isfinite(s.features)):
-            raise ConfigurationError(f"{split_name}: sample {s.id!r} has non-finite features")
-        if not 0 <= s.label < num_classes:
-            raise ConfigurationError(f"{split_name}: sample {s.id!r} has unregistered label {s.label}")
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def id_of(self, row: int) -> str:
+        return str(self.ids[row])
 
 
 @dataclass(frozen=True)
 class DatasetBundle:
     """Immutable train/validation/test splits plus class metadata.
 
-    Splits are disjoint by sample id; every label is a registered class.
-    Safe to share read-only across concurrently executing runs.
+    Splits are disjoint by sample id; every label is a registered class;
+    validation and test are non-empty. Safe to share read-only across
+    concurrently executing runs.
     """
 
     classes: tuple[ClassId, ...]
-    train: tuple[Sample, ...]
-    validation: tuple[Sample, ...]
-    test: tuple[Sample, ...]
+    train: Split
+    validation: Split
+    test: Split
     feature_dim: int
 
     @classmethod
     def build(
         cls,
         classes: Sequence[ClassId],
-        train: Iterable[Sample],
-        validation: Iterable[Sample],
-        test: Iterable[Sample],
+        train: Split,
+        validation: Split,
+        test: Split,
         feature_dim: int,
     ) -> "DatasetBundle":
         """Validate and assemble a bundle; raises ConfigurationError on bad input."""
@@ -96,27 +101,32 @@ class DatasetBundle:
         if feature_dim < 1:
             raise ConfigurationError(f"feature_dim must be >= 1, got {feature_dim}")
 
-        bundle = cls(
-            classes=classes,
-            train=tuple(train),
-            validation=tuple(validation),
-            test=tuple(test),
-            feature_dim=feature_dim,
-        )
-        seen: dict[str, str] = {}
-        for split_name, samples in (
-            ("train", bundle.train),
-            ("validation", bundle.validation),
-            ("test", bundle.test),
-        ):
-            _check_samples(split_name, samples, feature_dim, len(classes))
-            for s in samples:
-                if s.id in seen:
-                    raise ConfigurationError(
-                        f"sample id {s.id!r} appears in both {seen[s.id]} and {split_name}"
-                    )
-                seen[s.id] = split_name
-        return bundle
+        splits = (("train", train), ("validation", validation), ("test", test))
+        for split_name, split in splits:
+            X, y = split.X, split.y
+            if X.ndim != 2 or X.shape[1] != feature_dim or not len(X) == len(y) == len(split.ids):
+                raise ConfigurationError(f"{split_name}: {X.shape} features, {len(y)} labels, {len(split.ids)} ids")
+            nonfinite = ~np.isfinite(X).all(axis=1)
+            if nonfinite.any():
+                row = int(np.argmax(nonfinite))
+                raise ConfigurationError(f"{split_name}: sample {split.id_of(row)!r} has non-finite features")
+            unregistered = (y < 0) | (y >= len(classes))
+            if unregistered.any():
+                row = int(np.argmax(unregistered))
+                raise ConfigurationError(f"{split_name}: sample {split.id_of(row)!r} has unregistered label {y[row]}")
+
+        ids = np.concatenate([split.ids for _, split in splits])
+        _, first = np.unique(ids, return_index=True)
+        if len(first) < len(ids):
+            repeat = np.ones(len(ids), dtype=bool)
+            repeat[first] = False
+            k = int(np.argmax(repeat))
+            j = int(np.argmax(ids == ids[k]))
+            owner = np.repeat([name for name, _ in splits], [len(split) for _, split in splits])
+            raise ConfigurationError(f"sample id {str(ids[k])!r} appears in both {owner[j]} and {owner[k]}")
+        if not (len(validation) and len(test)):
+            raise ConfigurationError("the validation and test splits must not be empty")
+        return cls(classes=classes, train=train, validation=validation, test=test, feature_dim=feature_dim)
 
     @property
     def num_classes(self) -> int:
@@ -125,12 +135,9 @@ class DatasetBundle:
     def class_names(self) -> list[str]:
         return [c.name for c in self.classes]
 
-    def split_counts(self, samples: Sequence[Sample]) -> list[int]:
+    def split_counts(self, split: Split) -> list[int]:
         """Per-class sample counts of one split."""
-        counts = [0] * self.num_classes
-        for s in samples:
-            counts[s.label] += 1
-        return counts
+        return np.bincount(split.y, minlength=self.num_classes).tolist()
 
 
 def _key_to_int(key: int | str) -> int:
@@ -164,19 +171,21 @@ class RandomSource:
 
 
 class ClassPools:
-    """Per-class reservoirs of samples not yet in the training set.
+    """Per-class reservoirs of ``split`` rows not yet in the training set.
 
-    Pool order is randomized once when the pools are built (see
-    :func:`split_initial`); draws take the front of the list, so consecutive
-    draws are uniform without replacement and O(1) per sample.
+    Each pool is an int64 row-index array. Pool order is randomized once when
+    the pools are built (see :func:`split_initial`); draws take the front of
+    the array, so consecutive draws are uniform without replacement.
     """
 
-    def __init__(self, per_class: Sequence[Sequence[Sample]]):
-        self._pools: list[list[Sample]] = [list(p) for p in per_class]
+    def __init__(self, split: Split, per_class: Sequence[Sequence[int]]):
+        self.split = split
+        self._pools: list[np.ndarray] = [np.asarray(p, dtype=np.int64) for p in per_class]
         for i, pool in enumerate(self._pools):
-            for s in pool:
-                if s.label != i:
-                    raise ConfigurationError(f"pool {i} contains sample {s.id!r} with label {s.label}")
+            stray = split.y[pool] != i
+            if stray.any():
+                row = int(pool[np.argmax(stray)])
+                raise ConfigurationError(f"pool {i} contains sample {split.id_of(row)!r} with label {split.y[row]}")
 
     @property
     def num_classes(self) -> int:
@@ -192,8 +201,12 @@ class ClassPools:
     def total_remaining(self) -> int:
         return sum(len(p) for p in self._pools)
 
-    def draw(self, class_index: int, n: int) -> list[Sample]:
-        """Remove and return up to ``n`` samples from one class pool.
+    def rows(self) -> np.ndarray:
+        """Every pooled row, class by class, each pool front to back."""
+        return np.concatenate(self._pools)
+
+    def draw(self, class_index: int, n: int) -> np.ndarray:
+        """Remove and return up to ``n`` rows from the front of one class pool.
 
         Returns fewer than ``n`` when the pool runs short; callers detect the
         shortfall from the length of the result.
@@ -202,15 +215,15 @@ class ClassPools:
         if n < 0:
             raise ConfigurationError(f"draw count must be >= 0, got {n}")
         pool = self._pools[class_index]
-        taken = pool[:n]
-        del pool[:n]
-        return taken
+        self._pools[class_index] = pool[n:]
+        return pool[:n]
 
-    def give_back(self, samples: Iterable[Sample]) -> None:
-        """Return previously drawn samples to the back of their class pools."""
-        for s in samples:
-            self._check_class(s.label)
-            self._pools[s.label].append(s)
+    def give_back(self, rows: Iterable[int]) -> None:
+        """Append previously drawn rows to the back of their class pools, in the order given."""
+        rows = np.asarray(rows, dtype=np.int64)
+        labels = self.split.y[rows]
+        for i, pool in enumerate(self._pools):
+            self._pools[i] = np.concatenate([pool, rows[labels == i]])
 
     def _check_class(self, class_index: int) -> None:
         if not 0 <= class_index < len(self._pools):
@@ -219,97 +232,71 @@ class ClassPools:
             )
 
 
-def draw_from_pool(pools: ClassPools, class_index: int, n: int) -> tuple[list[Sample], int]:
-    """Draw up to ``n`` samples of one class; returns (samples, shortfall)."""
-    samples = pools.draw(class_index, n)
-    return samples, n - len(samples)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrainingSet:
-    """The growing labeled set the learner trains on at iteration ``iteration``."""
+    """The ``split`` rows the learner trains on at iteration ``iteration``, in append order."""
 
-    samples: list[Sample]
+    split: Split
+    rows: np.ndarray
     counts: list[int]
     iteration: int
-    _ids: set[str] = field(repr=False, default_factory=set)
 
     @classmethod
-    def from_samples(cls, samples: Iterable[Sample], num_classes: int, iteration: int = 0) -> "TrainingSet":
-        ts = cls(samples=[], counts=[0] * num_classes, iteration=iteration)
-        ts._append(samples)
-        return ts
+    def from_rows(cls, split: Split, rows: Sequence[int], num_classes: int, iteration: int = 0) -> "TrainingSet":
+        """Training set of the given rows; raises ConfigurationError if a row appears twice."""
+        rows = _read_only(np.asarray(rows, dtype=np.int64))
+        member = np.bincount(rows, minlength=len(split))
+        if rows.size and member.max() > 1:
+            row = int(rows[np.argmax(member[rows] > 1)])
+            raise ConfigurationError(f"sample {split.id_of(row)!r} already in training set")
+        counts = np.bincount(split.y[rows], minlength=num_classes).tolist()
+        return cls(split=split, rows=rows, counts=counts, iteration=iteration)
 
     @property
     def size(self) -> int:
-        return len(self.samples)
+        return len(self.rows)
 
-    def ids(self) -> frozenset[str]:
-        return frozenset(self._ids)
-
-    def _append(self, new_samples: Iterable[Sample]) -> None:
-        for s in new_samples:
-            if s.id in self._ids:
-                raise ConfigurationError(f"sample {s.id!r} already in training set")
-            if not 0 <= s.label < len(self.counts):
-                raise ConfigurationError(f"sample {s.id!r} has unregistered label {s.label}")
-            self.samples.append(s)
-            self.counts[s.label] += 1
-            self._ids.add(s.id)
-
-    def extended(self, new_samples: Iterable[Sample]) -> "TrainingSet":
-        """New TrainingSet with ``new_samples`` appended and the iteration bumped."""
-        ts = TrainingSet(
-            samples=list(self.samples),
-            counts=list(self.counts),
-            iteration=self.iteration + 1,
-            _ids=set(self._ids),
-        )
-        ts._append(new_samples)
-        return ts
+    def extended(self, new_rows: Sequence[int]) -> "TrainingSet":
+        """New TrainingSet with ``new_rows`` appended and the iteration bumped."""
+        rows = np.concatenate([self.rows, np.asarray(new_rows, dtype=np.int64)])
+        return TrainingSet.from_rows(self.split, rows, len(self.counts), self.iteration + 1)
 
 
 def split_initial(
-    train: Sequence[Sample],
+    train: Split,
     num_classes: int,
     per_class_initial: int,
     rng: RandomSource,
 ) -> tuple[TrainingSet, ClassPools]:
     """Split the train collection into an initial subset and per-class pools.
 
-    Takes ``min(per_class_initial, available)`` uniformly-random samples per
+    Takes ``min(per_class_initial, available)`` uniformly-random rows per
     class into the initial training set; everything else lands in that
     class's pool, pre-shuffled so later front-of-pool draws stay uniform.
-    Classes with fewer than ``per_class_initial`` samples contribute all they
+    Classes with fewer than ``per_class_initial`` rows contribute all they
     have (a warning is emitted).
     """
-    if not train:
+    if not len(train):
         raise ConfigurationError("cannot split an empty train collection")
     if per_class_initial < 0:
         raise ConfigurationError(f"per_class_initial must be >= 0, got {per_class_initial}")
 
-    by_class: list[list[Sample]] = [[] for _ in range(num_classes)]
-    for s in train:
-        if not 0 <= s.label < num_classes:
-            raise ConfigurationError(f"sample {s.id!r} has unregistered label {s.label}")
-        by_class[s.label].append(s)
-
     gen = rng.generator()
-    initial: list[Sample] = []
-    pools: list[list[Sample]] = []
-    for i, group in enumerate(by_class):
+    initial: list[np.ndarray] = []
+    pools: list[np.ndarray] = []
+    for i in range(num_classes):
+        group = np.flatnonzero(train.y == i)
         if 0 < len(group) < per_class_initial:
             warnings.warn(
                 f"class {i} has only {len(group)} train samples, fewer than "
                 f"per_class_initial={per_class_initial}; taking all of them",
                 stacklevel=2,
             )
-        order = gen.permutation(len(group))
-        shuffled = [group[j] for j in order]
-        initial.extend(shuffled[:per_class_initial])
+        shuffled = group[gen.permutation(len(group))]
+        initial.append(shuffled[:per_class_initial])
         pools.append(shuffled[per_class_initial:])
 
-    return TrainingSet.from_samples(initial, num_classes, iteration=0), ClassPools(pools)
+    return TrainingSet.from_rows(train, np.concatenate(initial), num_classes), ClassPools(train, pools)
 
 
 def class_balance(ts: TrainingSet) -> np.ndarray:

@@ -5,8 +5,8 @@ Dataset layout is one directory holding ``train.csv``, ``val.csv``,
 ``id,label,f0..f{d-1}`` with the label as a class name and features printed
 with full round-trip precision, so generate -> ingest -> re-emit is
 value-identical. The manifest carries class names, feature dimension,
-per-split counts, the generator spec when the data is synthetic, and a
-digest of the CSV bytes that run records embed and reports compare.
+per-split class counts (checked on load), the generator spec for synthetic
+data, and a digest of the CSV bytes that run records embed and reports compare.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from array import array
 from pathlib import Path
 
 import numpy as np
 
 from .config import canonical_hash
-from .core import ClassId, DatasetBundle, Sample
+from .core import ClassId, DatasetBundle, Split
 from .engine import RunRecord
 from .errors import ConfigurationError
 from .learner import TrainedModel, model_from_dict, model_to_dict
@@ -43,12 +44,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_split_csv(path: Path, samples, class_names: list[str], feature_dim: int) -> None:
+def _write_split_csv(path: Path, split: Split, class_names: list[str], feature_dim: int) -> None:
     with path.open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["id", "label"] + [f"f{i}" for i in range(feature_dim)])
-        for s in samples:
-            writer.writerow([s.id, class_names[s.label]] + [_fmt(v) for v in s.features])
+        for sample_id, label, features in zip(split.ids.tolist(), split.y.tolist(), split.X.tolist()):
+            writer.writerow([sample_id, class_names[label], *map(repr, features)])
 
 
 def _hash_csv_files(out_dir: Path) -> str:
@@ -83,8 +84,10 @@ def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: Ge
     return dataset_hash
 
 
-def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> list[Sample]:
-    samples: list[Sample] = []
+def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> Split:
+    ids: list[str] = []
+    labels = array("q")
+    features = array("d")
     with path.open("r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -97,30 +100,50 @@ def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int)
             label = name_to_index.get(row[1])
             if label is None:
                 raise ConfigurationError(f"{path}:{lineno}: unknown class name {row[1]!r}")
-            features = np.array([float(v) for v in row[2:]], dtype=float)
-            samples.append(Sample(id=row[0], features=features, label=label))
-    return samples
+            try:
+                features.extend(map(float, row[2:]))
+            except ValueError as e:
+                raise ConfigurationError(f"{path}:{lineno}: {e}") from None
+            ids.append(row[0])
+            labels.append(label)
+    X = np.frombuffer(features, dtype=np.float64).reshape(len(ids), feature_dim)
+    return Split(X, np.frombuffer(labels, dtype=np.int64), ids)
 
 
 def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, dict]:
-    """Load a dataset directory; returns (bundle, dataset_hash, manifest)."""
+    """Load a dataset directory, checking it against its manifest; returns (bundle, dataset_hash, manifest)."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.is_file():
         raise ConfigurationError(f"no manifest.json in {data_dir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ConfigurationError(f"{manifest_path}: not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigurationError(f"{manifest_path}: expected a JSON object")
     if manifest.get("schema_version") != 1:
         raise ConfigurationError(f"unsupported manifest schema_version {manifest.get('schema_version')!r}")
+    try:
+        names = list(manifest["classes"])
+        feature_dim = int(manifest["feature_dim"])
+        manifest_counts = {split_name: manifest["counts"][split_name] for split_name, _ in SPLIT_FILES}
+    except KeyError as e:
+        raise ConfigurationError(f"{manifest_path}: missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"{manifest_path}: malformed manifest: {e}") from None
 
-    names = list(manifest["classes"])
-    feature_dim = int(manifest["feature_dim"])
     name_to_index = {n: i for i, n in enumerate(names)}
     splits = {}
     for split_name, fname in SPLIT_FILES:
         path = data_dir / fname
         if not path.is_file():
             raise ConfigurationError(f"missing split file {path}")
-        splits[split_name] = _read_split_csv(path, name_to_index, feature_dim)
+        split = _read_split_csv(path, name_to_index, feature_dim)
+        counts, declared = np.bincount(split.y, minlength=len(names)).tolist(), manifest_counts[split_name]
+        if counts != declared:
+            raise ConfigurationError(f"{path}: class counts {counts} differ from the manifest's {declared}")
+        splits[split_name] = split
 
     dataset_hash = _hash_csv_files(data_dir)
     declared = manifest.get("dataset_hash")

@@ -16,14 +16,15 @@ from typing import Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import DatasetBundle, RandomSource, Sample, TrainingSet, class_balance, split_initial
+from .core import ClassPools, DatasetBundle, RandomSource, Split, TrainingSet, class_balance, split_initial
 from .errors import ConfigurationError, PoolsExhaustedError, RunError, TrainingError
-from .learner import TrainedModel, predict_batch, samples_to_arrays, train
+from .learner import TrainedModel, predict_batch, train
 from .metrics import MetricsReport, confusion, report
 from .strategy import (
     allocate_fnr,
     allocate_proportional,
     largest_remainder,
+    sample_fraction,
     select_entropy_topk,
 )
 
@@ -157,11 +158,23 @@ class RunRecord:
         )
 
 
-def evaluate_model(model: TrainedModel, samples: Sequence[Sample], num_classes: int) -> MetricsReport:
-    """Confusion-matrix report of the model's predictions over a sample collection."""
-    X, y = samples_to_arrays(list(samples))
-    preds = predict_batch(model, X)
-    return report(confusion(y.tolist(), preds.tolist(), num_classes))
+def evaluate_model(model: TrainedModel, split: Split, num_classes: int) -> MetricsReport:
+    """Confusion-matrix report of the model's predictions over one split."""
+    return report(confusion(split.y, predict_batch(model, split.X), num_classes))
+
+
+def _check_append(ts: TrainingSet, new_rows: np.ndarray, pools: ClassPools, budget: int) -> None:
+    """Loop invariants at one append; a breach is a program fault, not bad input.
+
+    The append fits the budget, and the training set, the appended rows and the
+    pools hold every train row exactly once: disjointness plus per-class conservation.
+    """
+    if budget and len(new_rows) > budget:
+        raise RunError("appended more samples than the per-iteration budget")
+    times_held = np.bincount(np.concatenate([ts.rows, new_rows, pools.rows()]), minlength=len(ts.split))
+    if (times_held != 1).any():
+        row = int(np.argmax(times_held != 1))
+        raise RunError(f"loop invariant broken: sample {ts.split.id_of(row)!r} is held {times_held[row]} times, not once")
 
 
 def _terminal_record(
@@ -206,8 +219,6 @@ def run_active_learning(
     """
     if config.arm != "al" or config.strategy is None:
         raise ConfigurationError("run_active_learning needs an 'al' config with a strategy")
-    if not bundle.validation:
-        raise ConfigurationError("active learning needs a non-empty validation set")
     strategy = config.strategy
     stopping = (
         StoppingRule(config.max_iterations, config.stop_on_exhaustion)
@@ -281,7 +292,7 @@ def run_active_learning(
 
         if strategy.name == "entropy_topk":
             try:
-                new_samples = select_entropy_topk(
+                new_rows = select_entropy_topk(
                     model,
                     pools,
                     full_train_delta,
@@ -292,30 +303,21 @@ def run_active_learning(
             except PoolsExhaustedError:
                 stop_reason = "pools exhausted: no entropy candidates available"
                 break
-            appended = [0] * bundle.num_classes
-            for s in new_samples:
-                appended[s.label] += 1
-            rec.allocation = appended
+            rec.allocation = np.bincount(bundle.train.y[new_rows], minlength=bundle.num_classes).tolist()
             rec.shortfall = [int(max(0, r - a)) for r, a in zip(requested, remaining)]
         else:
-            new_samples = []
-            shortfall = [0] * bundle.num_classes
-            for i, n in enumerate(requested):
-                got = pools.draw(i, int(n))
-                new_samples.extend(got)
-                shortfall[i] = int(n) - len(got)
+            drawn = [pools.draw(i, int(n)) for i, n in enumerate(requested)]
+            new_rows = np.concatenate(drawn)
             rec.allocation = [int(n) for n in requested]
-            rec.shortfall = shortfall
+            rec.shortfall = [int(n) - len(got) for n, got in zip(requested, drawn)]
 
-        if not new_samples:
+        if not len(new_rows):
             stop_reason = "pools exhausted: nothing left to append"
             rec.allocation = None
             rec.shortfall = [0] * bundle.num_classes
             break
-        if budget_total and len(new_samples) > budget_total:
-            raise ConfigurationError("appended more samples than the per-iteration budget")
-
-        ts = ts.extended(new_samples)
+        _check_append(ts, new_rows, pools, budget_total)
+        ts = ts.extended(new_rows)
         append_count += 1
 
     assert model is not None
@@ -332,13 +334,9 @@ def run_supervised(
     dataset_hash: str = "",
 ) -> RunRecord:
     """One supervised round on a stratified fraction of the train split."""
-    from .strategy import sample_fraction
-
-    if not bundle.validation:
-        raise ConfigurationError("supervised runs need a non-empty validation set")
     rng = RandomSource(seed)
     subset = sample_fraction(bundle.train, fraction, rng.derive("sl_sample"))
-    ts = TrainingSet.from_samples(subset, bundle.num_classes, iteration=0)
+    ts = TrainingSet.from_rows(bundle.train, subset, bundle.num_classes)
     model = train(config.learner, ts, bundle.validation, rng.derive("train", 0))
     val_metrics = evaluate_model(model, bundle.validation, bundle.num_classes)
     rec = IterationRecord(

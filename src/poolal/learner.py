@@ -13,11 +13,10 @@ a fixed :class:`~poolal.core.RandomSource`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .core import RandomSource, Sample, TrainingSet
+from .core import RandomSource, Split, TrainingSet
 from .errors import ConfigurationError, TrainingError
 
 __all__ = [
@@ -105,13 +104,9 @@ class TrainedModel:
     best_epoch: int = 0
 
 
-def samples_to_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a sample collection into (features matrix, label vector)."""
-    if not samples:
-        raise ConfigurationError("cannot build arrays from an empty sample collection")
-    X = np.stack([s.features for s in samples]).astype(float)
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return X, y
+def samples_to_arrays(rows: np.ndarray, split: Split) -> tuple[np.ndarray, np.ndarray]:
+    """Gather the given rows of a split into (features matrix, label vector)."""
+    return split.X[rows], split.y[rows]
 
 
 def _init_params(config: LearnerConfig, feature_dim: int, num_classes: int, gen: np.random.Generator) -> dict[str, np.ndarray]:
@@ -206,7 +201,7 @@ def _check_initial(initial: TrainedModel, config: LearnerConfig, feature_dim: in
 def train(
     config: LearnerConfig,
     train_set: TrainingSet,
-    validation: Sequence[Sample],
+    validation: Split,
     rng: RandomSource,
     initial: TrainedModel | None = None,
 ) -> TrainedModel:
@@ -219,11 +214,11 @@ def train(
     """
     if train_set.size == 0:
         raise TrainingError("training set is empty")
-    if not validation:
+    if not len(validation):
         raise TrainingError("validation set is empty")
 
-    X, y = samples_to_arrays(train_set.samples)
-    Xv, yv = samples_to_arrays(list(validation))
+    X, y = samples_to_arrays(train_set.rows, train_set.split)
+    Xv, yv = validation.X, validation.y
     feature_dim = X.shape[1]
     num_classes = len(train_set.counts)
     if Xv.shape[1] != feature_dim:
@@ -309,7 +304,7 @@ def predict(model: TrainedModel, features: np.ndarray) -> int:
 
 def gradient_check(
     config: LearnerConfig,
-    batch: Sequence[Sample],
+    batch: Split,
     rng: RandomSource,
     num_classes: int | None = None,
     step: float = 1e-5,
@@ -319,9 +314,9 @@ def gradient_check(
     Evaluates the mean cross-entropy gradient at a random parameter point
     drawn from ``rng`` and perturbs every parameter by ``±step``.
     """
-    if not batch:
+    if not len(batch):
         raise ConfigurationError("gradient check needs a non-empty batch")
-    X, y = samples_to_arrays(list(batch))
+    X, y = batch.X, batch.y
     if num_classes is None:
         num_classes = int(y.max()) + 1
 

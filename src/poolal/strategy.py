@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassPools, RandomSource, Sample
+from .core import ClassPools, RandomSource, Split
 from .errors import ConfigurationError, PoolsExhaustedError
 from .learner import TrainedModel, predict_proba, samples_to_arrays
 
@@ -35,6 +35,7 @@ __all__ = [
     "allocate_fnr",
     "allocate_proportional",
     "entropy_of",
+    "row_entropies",
     "select_entropy_topk",
     "sample_fraction",
 ]
@@ -162,6 +163,16 @@ def entropy_of(proba: Sequence[float]) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def row_entropies(probas: np.ndarray) -> np.ndarray:
+    """Unchecked :func:`entropy_of` of every row of a softmax output matrix.
+
+    Bit-identical below 8 classes, where numpy sums in order and a 0*ln(0)
+    term adds exactly 0; from 8 classes numpy's pairwise summation may group
+    terms differently, so the last bits can differ.
+    """
+    return -(probas * np.log(np.where(probas > 0, probas, 1.0))).sum(axis=1)
+
+
 def candidate_targets(delta: Sequence[float], candidate_count: int, pools: ClassPools) -> np.ndarray:
     """Per-class candidate draw counts: delta shares clipped to pool stock.
 
@@ -194,12 +205,12 @@ def select_entropy_topk(
     candidate_count: int,
     select_count: int,
     rng: RandomSource,
-) -> list[Sample]:
+) -> np.ndarray:
     """Draw candidates by class distribution, keep the highest-entropy subset.
 
     Candidates are drawn without replacement from the pools in per-class
-    counts proportional to ``full_train_delta``; the ``select_count`` with the
-    highest predictive entropy are returned (entropy ties broken by sample
+    counts proportional to ``full_train_delta``; the ``select_count`` rows with
+    the highest predictive entropy are returned (entropy ties broken by sample
     id), and every unselected candidate goes back to its pool in
     rng-shuffled order so the pool tail stays unordered.
     """
@@ -209,54 +220,43 @@ def select_entropy_topk(
         raise PoolsExhaustedError("all class pools are empty")
 
     targets = candidate_targets(full_train_delta, candidate_count, pools)
-    candidates: list[Sample] = []
-    for i, t in enumerate(targets):
-        candidates.extend(pools.draw(i, int(t)))
-    if not candidates:
+    candidates = np.concatenate([pools.draw(i, int(t)) for i, t in enumerate(targets)])
+    if not len(candidates):
         raise PoolsExhaustedError("pools could not provide any entropy candidates")
 
-    X, _ = samples_to_arrays(candidates)
-    probas = predict_proba(model, X)
-    entropies = [entropy_of(p) for p in probas]
-
-    order = sorted(range(len(candidates)), key=lambda k: (-entropies[k], candidates[k].id))
-    chosen = sorted(order[:select_count])
-    chosen_set = set(chosen)
-    selected = [candidates[k] for k in chosen]
-    rejected = [candidates[k] for k in range(len(candidates)) if k not in chosen_set]
+    X, _ = samples_to_arrays(candidates, pools.split)
+    entropies = row_entropies(predict_proba(model, X))
+    chosen = np.zeros(len(candidates), dtype=bool)
+    chosen[np.lexsort((pools.split.ids[candidates], -entropies))[:select_count]] = True
+    rejected = candidates[~chosen]
     gen = rng.generator()
-    pools.give_back(rejected[j] for j in gen.permutation(len(rejected)))
-    return selected
+    pools.give_back(rejected[gen.permutation(len(rejected))])
+    return candidates[chosen]
 
 
-def sample_fraction(train: Sequence[Sample], fraction: float, rng: RandomSource) -> list[Sample]:
+def sample_fraction(train: Split, fraction: float, rng: RandomSource) -> np.ndarray:
     """Stratified subsample preserving the natural class distribution.
 
-    Draws ``round(len(train) * fraction)`` samples in total, split across
-    classes by largest-remainder on the class counts, each class sampled
-    uniformly without replacement.
+    Returns ``round(len(train) * fraction)`` row indices in total, split
+    across classes by largest-remainder on the class counts, each class
+    sampled uniformly without replacement.
     """
     if not 0 < fraction <= 1:
         raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-    if not train:
+    if not len(train):
         raise ConfigurationError("cannot sample from an empty collection")
     if fraction == 1.0:
-        return list(train)
+        return np.arange(len(train))
 
-    num_classes = max(s.label for s in train) + 1
-    by_class: list[list[Sample]] = [[] for _ in range(num_classes)]
-    for s in train:
-        by_class[s.label].append(s)
-
-    counts = np.array([len(g) for g in by_class], dtype=float)
+    counts = np.bincount(train.y)
     total_target = int(np.floor(len(train) * fraction + 0.5))
     targets = largest_remainder(counts, total_target)
 
     gen = rng.generator()
-    out: list[Sample] = []
-    for group, t in zip(by_class, targets):
-        if t == 0 or not group:
+    out = []
+    for label, t in enumerate(targets):
+        if t == 0 or counts[label] == 0:
             continue
-        idx = gen.choice(len(group), size=int(t), replace=False)
-        out.extend(group[j] for j in sorted(idx))
-    return out
+        group = np.flatnonzero(train.y == label)
+        out.append(group[np.sort(gen.choice(len(group), size=int(t), replace=False))])
+    return np.concatenate(out) if out else np.arange(0)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassId, DatasetBundle, Sample
+from .core import ClassId, DatasetBundle, Split
 from .errors import ConfigurationError
 from .strategy import largest_remainder
 
@@ -153,19 +153,15 @@ def _generate_split(
     per_class_counts: Sequence[int],
     means: np.ndarray,
     gen: np.random.Generator,
-) -> list[Sample]:
-    samples: list[Sample] = []
-    seq = 0
+) -> Split:
+    blocks = [np.empty((0, spec.feature_dim))]
     for i, n in enumerate(per_class_counts):
         sigma = spec.class_sigmas[i]
         for mean_class, count in _component_counts(spec, i, int(n)):
-            if count == 0:
-                continue
-            block = means[mean_class] + sigma * gen.standard_normal((count, spec.feature_dim))
-            for row in block:
-                samples.append(Sample(id=f"{split}-{seq:06d}", features=row, label=i))
-                seq += 1
-    return samples
+            blocks.append(means[mean_class] + sigma * gen.standard_normal((count, spec.feature_dim)))
+    X = np.concatenate(blocks)
+    y = np.repeat(np.arange(len(per_class_counts)), per_class_counts)
+    return Split(X, y, np.char.mod(f"{split}-%06d", np.arange(len(X))))
 
 
 def generate(spec: GeneratorSpec) -> DatasetBundle:

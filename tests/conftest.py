@@ -3,16 +3,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from poolal.core import ClassId, DatasetBundle, Sample
+from poolal.core import ClassId, ClassPools, DatasetBundle, Split
 
 
-def make_samples(labels, prefix="s", feature_dim=2, rng=None):
-    """Samples with the given labels; features are small random vectors."""
+def make_split(labels, prefix="s", feature_dim=2, rng=None):
+    """A split with the given labels, ids ``{prefix}{row}``; features are small random vectors."""
     gen = rng or np.random.default_rng(0)
-    return [
-        Sample(id=f"{prefix}{i}", features=gen.standard_normal(feature_dim), label=int(lab))
-        for i, lab in enumerate(labels)
-    ]
+    return Split(
+        gen.standard_normal((len(labels), feature_dim)), labels, [f"{prefix}{i}" for i in range(len(labels))]
+    )
+
+
+def pools_of(split, num_classes):
+    """Pools holding every row of ``split``, each class's rows in split order."""
+    return ClassPools(split, [np.flatnonzero(split.y == c) for c in range(num_classes)])
 
 
 def make_bundle(train_labels, val_labels, test_labels, num_classes, feature_dim=2, seed=0):
@@ -20,9 +24,9 @@ def make_bundle(train_labels, val_labels, test_labels, num_classes, feature_dim=
     classes = [ClassId(index=i, name=f"class_{i}") for i in range(num_classes)]
     return DatasetBundle.build(
         classes,
-        make_samples(train_labels, "tr", feature_dim, gen),
-        make_samples(val_labels, "va", feature_dim, gen),
-        make_samples(test_labels, "te", feature_dim, gen),
+        make_split(train_labels, "tr", feature_dim, gen),
+        make_split(val_labels, "va", feature_dim, gen),
+        make_split(test_labels, "te", feature_dim, gen),
         feature_dim,
     )
 
@@ -31,16 +35,9 @@ def make_bundle(train_labels, val_labels, test_labels, num_classes, feature_dim=
 def cohort_scale_train():
     """A train collection with the reference cohort's per-class tile counts.
 
-    346016 samples across 5 classes; features are views into one shared
-    array to keep the fixture cheap.
+    346016 rows across 5 classes, labels in class order, zero features.
     """
     counts = [35105, 65920, 67007, 86978, 91006]
     total = sum(counts)
-    features = np.zeros((total, 1))
-    samples = []
-    k = 0
-    for label, n in enumerate(counts):
-        for _ in range(n):
-            samples.append(Sample(id=f"c{k}", features=features[k], label=label))
-            k += 1
-    return samples, counts
+    labels = np.repeat(np.arange(len(counts)), counts)
+    return Split(np.zeros((total, 1)), labels, np.char.mod("c%d", np.arange(total))), counts

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import make_split
 from oracles import brute_force_allocation, brute_force_metrics
 from poolal.cli import main
 from poolal.config import ExperimentConfig
-from poolal.core import ClassPools, RandomSource, Sample
+from poolal.core import ClassPools, RandomSource, Split
 from poolal.engine import run_active_learning, run_sweep
 from poolal.learner import LearnerConfig, gradient_check, predict_proba
 from poolal.metrics import confusion, report
@@ -78,14 +79,15 @@ def fnr_sweep(preset_bundle):
 def test_criterion_1_allocation_oracle():
     with criterion(1, "allocate_fnr matches the brute-force allocator on 1000 random instances"):
         gen = np.random.default_rng(1001)
-        pools = ClassPools([[] for _ in range(8)])
+        no_rows = make_split([])
+        pools = ClassPools(no_rows, [[] for _ in range(8)])
         t0 = time.monotonic()
         for _ in range(1000):
             k = int(gen.integers(2, 9))
             fnr = gen.random(k)
             fnr[gen.random(k) < 0.15] = 0.0
             budget = int(gen.integers(0, 100001))
-            sub_pools = ClassPools([[] for _ in range(k)])
+            sub_pools = ClassPools(no_rows, [[] for _ in range(k)])
             got = allocate_fnr(fnr.tolist(), budget, sub_pools)
             if fnr.sum() > 0:
                 assert list(got.counts) == brute_force_allocation(fnr.tolist(), budget)
@@ -126,10 +128,11 @@ def test_criterion_3_gradient_correctness():
             d = int(gen.integers(2, 7))
             num_classes = int(gen.integers(2, 5))
             n = int(gen.integers(2, 11))
-            batch = [
-                Sample(id=f"g{i}-{j}", features=gen.standard_normal(d), label=int(gen.integers(0, num_classes)))
-                for j in range(n)
-            ]
+            features, labels = [], []
+            for _ in range(n):
+                features.append(gen.standard_normal(d))
+                labels.append(int(gen.integers(0, num_classes)))
+            batch = Split(features, labels, [f"g{i}-{j}" for j in range(n)])
             if i % 2 == 0:
                 cfg = LearnerConfig(kind="softmax_linear")
                 bound = 1e-5
@@ -225,17 +228,15 @@ def test_criterion_7_entropy_baseline_conformance():
         for case in range(1000):
             n = int(gen.integers(2, 13))
             values = gen.standard_normal(n)
-            samples = [
-                Sample(id=f"c{case}-{j}", features=np.array([v]), label=0) for j, v in enumerate(values)
-            ]
-            pools = ClassPools([samples, []])
+            split = Split(values[:, None], [0] * n, [f"c{case}-{j}" for j in range(n)])
+            pools = ClassPools(split, [np.arange(n), []])
             k = int(gen.integers(1, n + 1))
             selected = select_entropy_topk(
                 model, pools, [1.0, 0.0], candidate_count=n, select_count=k, rng=RandomSource(case)
             )
             rejected = pools.draw(0, n)
-            hs = [entropy_of(predict_proba(model, s.features)) for s in selected]
-            hr = [entropy_of(predict_proba(model, s.features)) for s in rejected]
+            hs = [entropy_of(predict_proba(model, split.X[r])) for r in selected]
+            hr = [entropy_of(predict_proba(model, split.X[r])) for r in rejected]
             assert len(selected) == k
             if hr:
                 assert min(hs) >= max(hr) - 1e-12

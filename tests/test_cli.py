@@ -184,6 +184,50 @@ class TestDatasetRoundTrip:
             read_dataset(dataset_dir)
 
 
+def _edit_manifest(dataset_dir, edit):
+    path = dataset_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+class TestIngestFaults:
+    """Malformed dataset input makes ``run`` exit 2 with exactly one ``error:`` line."""
+
+    def _run_fails(self, run_cfg_file, capsys, expected):
+        assert main(["run", "--config", str(run_cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert expected in err
+
+    def test_non_numeric_cell_names_path_and_line(self, run_cfg_file, dataset_dir, capsys):
+        path = dataset_dir / "train.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[3].split(",")
+        cells[2] = "abc"
+        lines[3] = ",".join(cells)
+        path.write_text("".join(lines))
+        self._run_fails(run_cfg_file, capsys, f"{path}:4: could not convert string to float: 'abc'")
+
+    def test_malformed_manifest_json(self, run_cfg_file, dataset_dir, capsys):
+        (dataset_dir / "manifest.json").write_text("{not json")
+        self._run_fails(run_cfg_file, capsys, "manifest.json: not valid JSON")
+
+    def test_manifest_without_classes(self, run_cfg_file, dataset_dir, capsys):
+        _edit_manifest(dataset_dir, lambda m: m.pop("classes"))
+        self._run_fails(run_cfg_file, capsys, "missing key 'classes'")
+
+    def test_manifest_counts_must_match_the_csv(self, run_cfg_file, dataset_dir, capsys):
+        def shift_one(manifest):
+            manifest["counts"]["validation"][0] += 1
+            manifest["counts"]["validation"][1] -= 1
+
+        _edit_manifest(dataset_dir, shift_one)
+        self._run_fails(
+            run_cfg_file, capsys, "val.csv: class counts [30, 30, 30] differ from the manifest's [31, 29, 30]"
+        )
+
+
 class TestRunVerb:
     def test_end_to_end_outputs(self, run_cfg_file, tmp_path, capsys):
         assert main(["run", "--config", str(run_cfg_file)]) == 0

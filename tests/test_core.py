@@ -3,18 +3,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_samples
+from conftest import make_split, pools_of
 from poolal.core import (
     ClassId,
-    ClassPools,
     DatasetBundle,
     RandomSource,
+    Split,
     TrainingSet,
     class_balance,
-    draw_from_pool,
     split_initial,
 )
 from poolal.errors import ConfigurationError
+
+
+def whole(labels, num_classes):
+    """A training set holding every row of a fresh split with the given labels."""
+    return TrainingSet.from_rows(make_split(labels), np.arange(len(labels)), num_classes)
 
 
 class TestRandomSource:
@@ -46,37 +50,38 @@ class TestSplitInitial:
         assert pools.remaining_counts() == [c - 25000 for c in counts]
 
     def test_zero_initial_everything_pooled(self):
-        train = make_samples([0, 0, 1, 1, 1])
+        train = make_split([0, 0, 1, 1, 1])
         ts, pools = split_initial(train, 2, 0, RandomSource(3))
         assert ts.size == 0
         assert pools.remaining_counts() == [2, 3]
 
     def test_seeded_membership_reproducible(self):
-        train = make_samples([0] * 10 + [1] * 10 + [2] * 10)
+        train = make_split([0] * 10 + [1] * 10 + [2] * 10)
         ts1, pools1 = split_initial(train, 3, 4, RandomSource(11))
         ts2, pools2 = split_initial(train, 3, 4, RandomSource(11))
         assert ts1.counts == [4, 4, 4]
         assert pools1.remaining_counts() == [6, 6, 6]
-        assert ts1.ids() == ts2.ids()
-        assert {s.id for s in pools1.draw(0, 6)} == {s.id for s in pools2.draw(0, 6)}
+        assert set(ts1.rows.tolist()) == set(ts2.rows.tolist())
+        assert set(pools1.draw(0, 6).tolist()) == set(pools2.draw(0, 6).tolist())
 
     def test_different_seed_different_membership(self):
-        train = make_samples([0] * 30 + [1] * 30)
+        train = make_split([0] * 30 + [1] * 30)
         ts1, _ = split_initial(train, 2, 10, RandomSource(1))
         ts2, _ = split_initial(train, 2, 10, RandomSource(2))
-        assert ts1.ids() != ts2.ids()
+        assert set(ts1.rows.tolist()) != set(ts2.rows.tolist())
 
     def test_union_is_input_and_disjoint(self):
-        train = make_samples([0] * 7 + [1] * 9 + [2] * 6)
+        train = make_split([0] * 7 + [1] * 9 + [2] * 6)
         ts, pools = split_initial(train, 3, 5, RandomSource(5))
-        pool_ids = set()
+        pool_rows = set()
         for i in range(3):
-            pool_ids |= {s.id for s in pools.draw(i, 100)}
-        assert ts.ids() | pool_ids == {s.id for s in train}
-        assert not (ts.ids() & pool_ids)
+            pool_rows |= set(pools.draw(i, 100).tolist())
+        ts_rows = set(ts.rows.tolist())
+        assert ts_rows | pool_rows == set(range(len(train)))
+        assert not (ts_rows & pool_rows)
 
     def test_short_class_takes_all_and_warns(self):
-        train = make_samples([0] * 3 + [1] * 10)
+        train = make_split([0] * 3 + [1] * 10)
         with pytest.warns(UserWarning, match="class 0 has only 3"):
             ts, pools = split_initial(train, 2, 5, RandomSource(0))
         assert ts.counts == [3, 5]
@@ -84,35 +89,32 @@ class TestSplitInitial:
 
     def test_empty_train_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
-            split_initial([], 2, 5, RandomSource(0))
+            split_initial(make_split([]), 2, 5, RandomSource(0))
 
 
 class TestPools:
     def _pools(self, counts):
-        samples = make_samples([i for i, c in enumerate(counts) for _ in range(c)])
-        per_class = [[] for _ in counts]
-        for s in samples:
-            per_class[s.label].append(s)
-        return ClassPools(per_class)
+        split = make_split([i for i, c in enumerate(counts) for _ in range(c)])
+        return pools_of(split, len(counts))
 
     def test_draw_counts(self):
         pools = self._pools([6, 2])
-        got, shortfall = draw_from_pool(pools, 0, 4)
+        got = pools.draw(0, 4)
         assert len(got) == 4
-        assert shortfall == 0
+        assert 4 - len(got) == 0  # no shortfall
         assert pools.remaining(0) == 2
 
     def test_draw_zero_is_identity(self):
         pools = self._pools([6])
-        got, shortfall = draw_from_pool(pools, 0, 0)
-        assert got == [] and shortfall == 0
+        got = pools.draw(0, 0)
+        assert len(got) == 0
         assert pools.remaining(0) == 6
 
     def test_draw_shortfall_empties_pool(self):
         pools = self._pools([3])
-        got, shortfall = draw_from_pool(pools, 0, 5)
+        got = pools.draw(0, 5)
         assert len(got) == 3
-        assert shortfall == 2
+        assert 5 - len(got) == 2  # shortfall
         assert pools.remaining(0) == 0
 
     def test_unknown_class_rejected(self):
@@ -129,86 +131,87 @@ class TestPools:
     def test_give_back_returns_to_owning_class(self):
         pools = self._pools([4, 4])
         taken = pools.draw(0, 3)
-        pools.give_back(taken[1:])
+        pools.give_back(taken[:0:-1])
         assert pools.remaining(0) == 3
         assert pools.remaining(1) == 4
+        # returned rows go to the back of their own pool, in the order given
+        assert pools.draw(0, 3)[1:].tolist() == [taken[2], taken[1]]
 
     def test_conservation_under_random_ops(self):
         gen = np.random.default_rng(9)
-        train = make_samples(gen.integers(0, 3, size=60).tolist())
+        train = make_split(gen.integers(0, 3, size=60).tolist())
         ts, pools = split_initial(train, 3, 5, RandomSource(1))
         for _ in range(20):
             cls = int(gen.integers(0, 3))
             drawn = pools.draw(cls, int(gen.integers(0, 4)))
             ts = ts.extended(drawn)
             assert ts.size + pools.total_remaining() == 60
-            assert len(ts.ids()) == ts.size
+            assert len(set(ts.rows.tolist())) == ts.size
 
 
 class TestTrainingSet:
     def test_counts_sum_to_size(self):
-        ts = TrainingSet.from_samples(make_samples([0, 1, 1, 2]), 3)
+        ts = whole([0, 1, 1, 2], 3)
         assert sum(ts.counts) == ts.size == 4
         assert ts.counts == [1, 2, 1]
 
     def test_extend_bumps_iteration_and_rejects_duplicates(self):
-        base = make_samples([0, 1], prefix="a")
-        ts = TrainingSet.from_samples(base, 2)
-        ts2 = ts.extended(make_samples([1], prefix="b"))
+        split = make_split([0, 1, 1])
+        ts = TrainingSet.from_rows(split, [0, 1], 2)
+        ts2 = ts.extended([2])
         assert ts2.iteration == 1
         assert ts2.size == 3
         assert ts.size == 2  # original untouched
         with pytest.raises(ConfigurationError, match="already in training set"):
-            ts2.extended(base[:1])
+            ts2.extended([0])
 
 
 class TestClassBalance:
     def test_uniform_initial(self):
-        ts = TrainingSet.from_samples(make_samples([0, 1, 2, 3, 4] * 10), 5)
+        ts = whole([0, 1, 2, 3, 4] * 10, 5)
         assert np.allclose(class_balance(ts), [0.2] * 5)
 
     def test_simple_ratio(self):
-        ts = TrainingSet.from_samples(make_samples([0] * 10 + [1] * 30), 2)
+        ts = whole([0] * 10 + [1] * 30, 2)
         assert np.allclose(class_balance(ts), [0.25, 0.75])
 
     def test_degenerate_single_class(self):
-        ts = TrainingSet.from_samples(make_samples([0]), 3)
+        ts = whole([0], 3)
         assert class_balance(ts).tolist() == [1.0, 0.0, 0.0]
 
     def test_sums_to_one_random(self):
         gen = np.random.default_rng(4)
         for _ in range(50):
             labels = gen.integers(0, 4, size=int(gen.integers(1, 40))).tolist()
-            delta = class_balance(TrainingSet.from_samples(make_samples(labels), 4))
+            delta = class_balance(whole(labels, 4))
             assert abs(delta.sum() - 1.0) < 1e-12
             assert np.all(delta >= 0) and np.all(delta <= 1)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError, match="undefined"):
-            class_balance(TrainingSet.from_samples([], 2))
+            class_balance(whole([], 2))
 
 
 class TestDatasetBundle:
     def test_duplicate_ids_across_splits_rejected(self):
         classes = [ClassId(0, "a"), ClassId(1, "b")]
-        tr = make_samples([0, 1], prefix="x")
-        va = make_samples([0], prefix="x")  # same ids as train
-        with pytest.raises(ConfigurationError, match="appears in both"):
-            DatasetBundle.build(classes, tr, va, [], 2)
+        tr = make_split([0, 1], prefix="x")
+        va = make_split([0], prefix="x")  # same ids as train
+        with pytest.raises(ConfigurationError, match="sample id 'x0' appears in both train and validation"):
+            DatasetBundle.build(classes, tr, va, make_split([]), 2)
 
     def test_unregistered_label_rejected(self):
         classes = [ClassId(0, "a"), ClassId(1, "b")]
-        with pytest.raises(ConfigurationError, match="unregistered label"):
-            DatasetBundle.build(classes, make_samples([0, 2]), [], [], 2)
+        with pytest.raises(ConfigurationError, match="train: sample 's1' has unregistered label 2"):
+            DatasetBundle.build(classes, make_split([0, 2]), make_split([]), make_split([]), 2)
 
     def test_nonfinite_features_rejected(self):
         classes = [ClassId(0, "a"), ClassId(1, "b")]
-        from poolal.core import Sample
-
-        bad = Sample(id="z", features=np.array([np.nan, 0.0]), label=0)
-        with pytest.raises(ConfigurationError, match="non-finite"):
-            DatasetBundle.build(classes, [bad], [], [], 2)
+        bad = Split(np.array([[np.nan, 0.0]]), [0], ["z"])
+        with pytest.raises(ConfigurationError, match="train: sample 'z' has non-finite"):
+            DatasetBundle.build(classes, bad, make_split([]), make_split([]), 2)
 
     def test_needs_two_classes(self):
+        empty = make_split([])
         with pytest.raises(ConfigurationError, match="at least 2"):
-            DatasetBundle.build([ClassId(0, "only")], [], [], [], 2)
+            DatasetBundle.build([ClassId(0, "only")], empty, empty, empty, 2)

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import make_split
 from poolal.config import ExperimentConfig
-from poolal.core import ClassPools, RandomSource
+from poolal.core import ClassPools, RandomSource, split_initial
 from poolal.engine import (
     IterationRecord,
     RunRecord,
@@ -167,11 +168,33 @@ class TestSingleRound:
         assert record.total_labeled == 60
 
 
+class TestLoopInvariants:
+    """A pool that hands out wrong rows is a program fault: RunError, not a configuration error."""
+
+    @pytest.mark.parametrize(
+        "fault, message", [("repeat", "held 2 times"), ("lose", "held 0 times"), ("overdraw", "budget")]
+    )
+    def test_faulty_draw_is_a_run_error(self, fault, message, monkeypatch):
+        bundle, cfg = small_bundle(), al_config()
+        initial, _ = split_initial(
+            bundle.train, bundle.num_classes, cfg.per_class_initial, RandomSource(0).derive("split")
+        )
+        draw = ClassPools.draw
+        faulty = {
+            "repeat": lambda self, i, n: initial.rows[i : i + 1],  # a row already in the training set
+            "lose": lambda self, i, n: draw(self, i, n)[1:],  # one drawn row goes missing
+            "overdraw": lambda self, i, n: draw(self, i, n + 1),
+        }[fault]
+        monkeypatch.setattr(ClassPools, "draw", faulty)
+        with pytest.raises(RunError, match=message):
+            run_active_learning(bundle, cfg, seed=0)
+
+
 class TestFnrCoupling:
     def test_stored_allocation_recomputable_from_stored_fnr(self):
         bundle = small_bundle()
         record = run_active_learning(bundle, al_config(max_iterations=4), seed=5)
-        dummy_pools = ClassPools([[], [], []])
+        dummy_pools = ClassPools(make_split([]), [[], [], []])
         checked = 0
         for it in record.iterations:
             if it.allocation is None or sum(it.val_fnr) == 0:

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_samples
-from poolal.core import RandomSource, Sample, TrainingSet
+from conftest import make_split
+from poolal.core import RandomSource, Split, TrainingSet
 from poolal.errors import ConfigurationError, TrainingError
 from poolal.learner import (
     LearnerConfig,
@@ -16,7 +16,6 @@ from poolal.learner import (
     predict,
     predict_batch,
     predict_proba,
-    samples_to_arrays,
     train,
 )
 
@@ -32,15 +31,16 @@ def linear_model(W, b):
 
 
 def blob_samples(n_per_class, sigma=0.1, seed=0):
-    """Two 2-d blobs at (2, 2) and (-2, -2)."""
+    """Two 2-d blobs at (2, 2) and (-2, -2), as one split."""
     gen = np.random.default_rng(seed)
-    samples = []
-    for label, center in ((0, (2.0, 2.0)), (1, (-2.0, -2.0))):
-        pts = np.asarray(center) + sigma * gen.standard_normal((n_per_class, 2))
-        samples.extend(
-            Sample(id=f"blob{label}-{i}", features=p, label=label) for i, p in enumerate(pts)
-        )
-    return samples
+    centers = ((2.0, 2.0), (-2.0, -2.0))
+    X = np.concatenate([np.asarray(c) + sigma * gen.standard_normal((n_per_class, 2)) for c in centers])
+    ids = [f"blob{label}-{i}" for label in range(2) for i in range(n_per_class)]
+    return Split(X, np.repeat([0, 1], n_per_class), ids)
+
+
+def every_row(split, num_classes=2):
+    return TrainingSet.from_rows(split, np.arange(len(split)), num_classes)
 
 
 class TestLearnerConfig:
@@ -115,23 +115,23 @@ class TestTrain:
     def test_separable_blobs_reach_perfect_training_accuracy(self):
         samples = blob_samples(40)
         # closed-form separator check: the fixture really is linearly separable
-        X, y = samples_to_arrays(samples)
+        X, y = samples.X, samples.y
         margin = X @ np.array([1.0, 1.0])
         assert np.all((margin > 0) == (y == 0))
 
-        ts = TrainingSet.from_samples(samples, 2)
+        ts = every_row(samples)
         cfg = LearnerConfig(learning_rate=0.1)
         model = train(cfg, ts, blob_samples(10, seed=5), RandomSource(0))
         assert np.mean(predict_batch(model, X) == y) == 1.0
 
     def test_max_epochs_one_gives_one_log_entry(self):
-        ts = TrainingSet.from_samples(blob_samples(10), 2)
+        ts = every_row(blob_samples(10))
         model = train(LearnerConfig(max_epochs=1), ts, blob_samples(4, seed=9), RandomSource(0))
         assert len(model.training_log) == 1
         assert model.stopped_epoch == 1
 
     def test_constant_val_loss_stops_after_patience_plus_one(self):
-        ts = TrainingSet.from_samples(blob_samples(10), 2)
+        ts = every_row(blob_samples(10))
         val = blob_samples(4, seed=9)
         model = train(
             LearnerConfig(learning_rate=0.0, max_epochs=50, patience=5), ts, val, RandomSource(0)
@@ -143,14 +143,14 @@ class TestTrain:
         assert model.stopped_epoch == 3  # the cap dominates
 
     def test_best_epoch_parameters_returned(self):
-        ts = TrainingSet.from_samples(blob_samples(30, sigma=1.5), 2)
+        ts = every_row(blob_samples(30, sigma=1.5))
         val = blob_samples(30, sigma=1.5, seed=2)
         model = train(LearnerConfig(learning_rate=0.3, max_epochs=40), ts, val, RandomSource(3))
         losses = [e.val_loss for e in model.training_log]
         assert model.best_epoch == int(np.argmin(losses)) + 1
 
     def test_bit_identical_training_logs_for_same_seed(self):
-        ts = TrainingSet.from_samples(blob_samples(20, sigma=0.8), 2)
+        ts = every_row(blob_samples(20, sigma=0.8))
         val = blob_samples(8, seed=4)
         cfg = LearnerConfig(learning_rate=0.05, max_epochs=15)
         m1 = train(cfg, ts, val, RandomSource(42))
@@ -159,14 +159,14 @@ class TestTrain:
         assert all(np.array_equal(m1.params[k], m2.params[k]) for k in m1.params)
 
     def test_warm_start_shape_mismatch_rejected(self):
-        ts = TrainingSet.from_samples(blob_samples(10), 2)
+        ts = every_row(blob_samples(10))
         val = blob_samples(4, seed=9)
         wrong = linear_model(np.zeros((5, 2)), np.zeros(2))
         with pytest.raises(ConfigurationError, match="does not"):
             train(LearnerConfig(), ts, val, RandomSource(0), initial=wrong)
 
     def test_warm_start_continues_from_initial(self):
-        ts = TrainingSet.from_samples(blob_samples(20), 2)
+        ts = every_row(blob_samples(20))
         val = blob_samples(8, seed=4)
         first = train(LearnerConfig(learning_rate=0.1, max_epochs=5), ts, val, RandomSource(0))
         second = train(
@@ -175,41 +175,39 @@ class TestTrain:
         assert np.array_equal(second.params["W"], first.params["W"])
 
     def test_empty_sets_rejected(self):
-        ts = TrainingSet.from_samples(blob_samples(5), 2)
+        ts = every_row(blob_samples(5))
         with pytest.raises(TrainingError, match="validation"):
-            train(LearnerConfig(), ts, [], RandomSource(0))
+            train(LearnerConfig(), ts, blob_samples(0), RandomSource(0))
         with pytest.raises(TrainingError, match="empty"):
-            train(LearnerConfig(), TrainingSet.from_samples([], 2), blob_samples(2), RandomSource(0))
+            train(LearnerConfig(), every_row(blob_samples(0)), blob_samples(2), RandomSource(0))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_epoch(self):
         gen = np.random.default_rng(0)
-        samples = [
-            Sample(id=f"d{i}", features=gen.standard_normal(2) * 1e200, label=i % 2)
-            for i in range(8)
-        ]
-        ts = TrainingSet.from_samples(samples, 2)
+        features = [gen.standard_normal(2) * 1e200 for _ in range(8)]
+        samples = Split(features, [i % 2 for i in range(8)], [f"d{i}" for i in range(8)])
+        ts = every_row(samples)
         cfg = LearnerConfig(learning_rate=1e308, max_epochs=10, init_scale=1e200)
         with pytest.raises(TrainingError, match="epoch"):
-            train(cfg, ts, samples[:2], RandomSource(0))
+            train(cfg, ts, Split(samples.X[:2], samples.y[:2], samples.ids[:2]), RandomSource(0))
 
     def test_mlp_learns_blobs(self):
         samples = blob_samples(40)
-        ts = TrainingSet.from_samples(samples, 2)
+        ts = every_row(samples)
         cfg = LearnerConfig(kind="mlp", hidden_units=8, learning_rate=0.2, max_epochs=100)
         model = train(cfg, ts, blob_samples(10, seed=5), RandomSource(0))
-        X, y = samples_to_arrays(samples)
+        X, y = samples.X, samples.y
         assert np.mean(predict_batch(model, X) == y) == 1.0
 
 
 class TestGradients:
     def test_linear_gradient_check_tight(self):
-        batch = make_samples([0, 1, 2, 0, 1, 2, 0, 1], feature_dim=4)
+        batch = make_split([0, 1, 2, 0, 1, 2, 0, 1], feature_dim=4)
         err = gradient_check(LearnerConfig(kind="softmax_linear"), batch, RandomSource(1), num_classes=3)
         assert err < 1e-5
 
     def test_mlp_gradient_check(self):
-        batch = make_samples([0, 1, 2, 0, 1, 2, 0, 1], feature_dim=4)
+        batch = make_split([0, 1, 2, 0, 1, 2, 0, 1], feature_dim=4)
         err = gradient_check(
             LearnerConfig(kind="mlp", hidden_units=8), batch, RandomSource(2), num_classes=3
         )
@@ -226,4 +224,4 @@ class TestGradients:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigurationError, match="non-empty"):
-            gradient_check(LearnerConfig(), [], RandomSource(0))
+            gradient_check(LearnerConfig(), make_split([]), RandomSource(0))

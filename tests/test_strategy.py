@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_samples
+from conftest import make_split, pools_of
 from oracles import brute_force_allocation
-from poolal.core import ClassPools, RandomSource
+from poolal.core import ClassPools, RandomSource, Split
 from poolal.errors import ConfigurationError, PoolsExhaustedError
 from poolal.learner import TrainedModel
 from poolal.strategy import (
@@ -17,19 +17,15 @@ from poolal.strategy import (
     candidate_targets,
     entropy_of,
     largest_remainder,
+    row_entropies,
     sample_fraction,
     select_entropy_topk,
 )
 
 
 def pools_with(counts, feature_dim=2, prefix="p"):
-    samples = make_samples(
-        [i for i, c in enumerate(counts) for _ in range(c)], prefix=prefix, feature_dim=feature_dim
-    )
-    per_class = [[] for _ in counts]
-    for s in samples:
-        per_class[s.label].append(s)
-    return ClassPools(per_class)
+    split = make_split([i for i, c in enumerate(counts) for _ in range(c)], prefix=prefix, feature_dim=feature_dim)
+    return pools_of(split, len(counts))
 
 
 class TestLargestRemainder:
@@ -165,6 +161,20 @@ class TestEntropy:
         with pytest.raises(ConfigurationError, match="non-finite"):
             entropy_of([float("nan"), 1.0])
 
+    def test_row_entropies_match_entropy_of(self):
+        # bit for bit below 8 classes, exact zeros included; within 1e-15 from 8 classes up
+        gen = np.random.default_rng(8)
+        for k in (2, 3, 5, 7, 8, 12):
+            P = gen.random((2000, k)) ** 3
+            P[gen.random(P.shape) < 0.2] = 0.0
+            P[P.sum(axis=1) == 0, 0] = 1.0
+            P /= P.sum(axis=1, keepdims=True)
+            expected = np.array([entropy_of(p) for p in P])
+            if k < 8:
+                assert np.array_equal(row_entropies(P), expected)
+            else:
+                assert np.allclose(row_entropies(P), expected, rtol=0, atol=1e-15)
+
     def test_nan_rates_rejected(self):
         with pytest.raises(ConfigurationError, match="finite"):
             allocate_fnr([float("nan"), 0.5], 10, pools_with([1, 1]))
@@ -181,41 +191,41 @@ def margin_model():
 
 
 def one_class_pools(feature_values, prefix="e"):
-    from poolal.core import Sample
-
-    samples = [
-        Sample(id=f"{prefix}{i}", features=np.array([v]), label=0)
-        for i, v in enumerate(feature_values)
-    ]
-    other = [Sample(id=f"{prefix}-other", features=np.array([9.0]), label=1)]
-    return ClassPools([samples, other]), samples
+    """Class 0 holds one row per feature value (ids prefix0, prefix1, ...); class 1 one row at 9.0."""
+    n = len(feature_values)
+    split = Split(
+        np.array([*feature_values, 9.0])[:, None],
+        [0] * n + [1],
+        [f"{prefix}{i}" for i in range(n)] + [f"{prefix}-other"],
+    )
+    return ClassPools(split, [np.arange(n), [n]]), split
 
 
 class TestSelectEntropyTopK:
     def test_select_all_when_counts_equal(self):
-        pools, samples = one_class_pools([0.0, 1.0, 2.0])
+        pools, split = one_class_pools([0.0, 1.0, 2.0])
         selected = select_entropy_topk(
             margin_model(), pools, [0.75, 0.25], candidate_count=4, select_count=4, rng=RandomSource(0)
         )
-        assert {s.id for s in selected} == {s.id for s in samples} | {"e-other"}
+        assert set(split.ids[selected].tolist()) == {"e0", "e1", "e2"} | {"e-other"}
         assert pools.total_remaining() == 0
 
     def test_top_entropy_selected_and_rest_returned(self):
         # |feature| 0 and 0.5 give the two highest entropies; 2.0 and 3.0 are confident
-        pools, _ = one_class_pools([2.0, 0.0, 3.0, 0.5])
+        pools, split = one_class_pools([2.0, 0.0, 3.0, 0.5])
         selected = select_entropy_topk(
             margin_model(), pools, [1.0, 0.0], candidate_count=4, select_count=2, rng=RandomSource(0)
         )
-        assert sorted(s.id for s in selected) == ["e1", "e3"]
+        assert sorted(split.ids[selected].tolist()) == ["e1", "e3"]
         assert pools.remaining(0) == 2  # rejected candidates are back
         assert pools.remaining(1) == 1  # untouched class
 
     def test_entropy_tie_broken_by_sample_id(self):
-        pools, _ = one_class_pools([1.0, 1.0, 1.0])
+        pools, split = one_class_pools([1.0, 1.0, 1.0])
         selected = select_entropy_topk(
             margin_model(), pools, [1.0, 0.0], candidate_count=3, select_count=2, rng=RandomSource(0)
         )
-        assert sorted(s.id for s in selected) == ["e0", "e1"]
+        assert sorted(split.ids[selected].tolist()) == ["e0", "e1"]
 
     def test_min_selected_geq_max_rejected(self):
         gen = np.random.default_rng(5)
@@ -224,20 +234,20 @@ class TestSelectEntropyTopK:
 
         for _ in range(100):
             values = gen.standard_normal(int(gen.integers(3, 12))).tolist()
-            pools, _ = one_class_pools(values, prefix=f"r{_}")
+            pools, split = one_class_pools(values, prefix=f"r{_}")
             k = int(gen.integers(1, len(values) + 1))
             model = margin_model()
             selected = select_entropy_topk(
                 model, pools, [1.0, 0.0], candidate_count=len(values), select_count=k, rng=RandomSource(1)
             )
             rest = pools.draw(0, 100)
-            hs = [H(predict_proba(model, s.features)) for s in selected]
-            hr = [H(predict_proba(model, s.features)) for s in rest]
+            hs = [H(predict_proba(model, split.X[r])) for r in selected]
+            hr = [H(predict_proba(model, split.X[r])) for r in rest]
             if hs and hr:
                 assert min(hs) >= max(hr) - 1e-12
 
     def test_exhausted_pools_signal(self):
-        pools = ClassPools([[], []])
+        pools = ClassPools(make_split([]), [[], []])
         with pytest.raises(PoolsExhaustedError):
             select_entropy_topk(margin_model(), pools, [0.5, 0.5], 4, 2, RandomSource(0))
 
@@ -250,10 +260,7 @@ class TestSelectEntropyTopK:
     def test_reference_scale_selection_over_cohort_pools(self, cohort_scale_train):
         # 30000 candidates drawn by the cohort's class distribution, top 20000 kept
         train, counts = cohort_scale_train
-        per_class = [[] for _ in counts]
-        for s in train:
-            per_class[s.label].append(s)
-        pools = ClassPools(per_class)
+        pools = pools_of(train, 5)
         delta = np.asarray(counts, dtype=float) / sum(counts)
         model = TrainedModel(
             kind="softmax_linear",
@@ -268,7 +275,7 @@ class TestSelectEntropyTopK:
         assert len(selected) == 20000
         assert pools.total_remaining() == sum(counts) - 20000
         drawn_per_class = np.array(counts) - np.array(pools.remaining_counts())
-        selected_per_class = np.bincount([s.label for s in selected], minlength=5)
+        selected_per_class = np.bincount(train.y[selected], minlength=5)
         assert np.array_equal(drawn_per_class, selected_per_class)
         assert np.all(selected_per_class <= expected_targets)
 
@@ -285,8 +292,8 @@ class TestSelectEntropyTopK:
 
 class TestSampleFraction:
     def test_full_fraction_is_identity(self):
-        samples = make_samples([0, 0, 1, 1, 1])
-        assert sample_fraction(samples, 1.0, RandomSource(0)) == samples
+        samples = make_split([0, 0, 1, 1, 1])
+        assert np.array_equal(sample_fraction(samples, 1.0, RandomSource(0)), np.arange(5))
 
     def test_cohort_scale_fifth(self, cohort_scale_train):
         train, _ = cohort_scale_train
@@ -294,31 +301,31 @@ class TestSampleFraction:
         assert len(subset) == 69203  # round(346016 * 0.2)
 
     def test_natural_ratio_preserved(self):
-        samples = make_samples([0] * 10 + [1] * 30)
+        samples = make_split([0] * 10 + [1] * 30)
         subset = sample_fraction(samples, 0.5, RandomSource(1))
-        counts = [sum(1 for s in subset if s.label == c) for c in (0, 1)]
+        counts = np.bincount(samples.y[subset], minlength=2).tolist()
         assert counts == [5, 15]
 
     def test_per_class_quota_deviation_below_one(self):
         gen = np.random.default_rng(6)
         for _ in range(50):
             counts = gen.integers(1, 60, size=3)
-            samples = make_samples([i for i, c in enumerate(counts) for _ in range(c)])
+            samples = make_split([i for i, c in enumerate(counts) for _ in range(c)])
             fraction = float(gen.uniform(0.05, 1.0))
             subset = sample_fraction(samples, fraction, RandomSource(int(gen.integers(1e6))))
-            got = np.array([sum(1 for s in subset if s.label == c) for c in range(3)])
+            got = np.bincount(samples.y[subset], minlength=3)
             quota = counts * (len(subset) / counts.sum())
             assert np.all(np.abs(got - quota) < 1.0)
 
     def test_no_duplicates_and_deterministic(self):
-        samples = make_samples([0] * 20 + [1] * 20)
+        samples = make_split([0] * 20 + [1] * 20)
         a = sample_fraction(samples, 0.4, RandomSource(9))
         b = sample_fraction(samples, 0.4, RandomSource(9))
-        assert [s.id for s in a] == [s.id for s in b]
-        assert len({s.id for s in a}) == len(a)
+        assert np.array_equal(a, b)
+        assert len(set(a.tolist())) == len(a)
 
     def test_fraction_out_of_range_rejected(self):
-        samples = make_samples([0, 1])
+        samples = make_split([0, 1])
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ConfigurationError, match="fraction"):
                 sample_fraction(samples, bad, RandomSource(0))

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import nearest_mean_predictions
 from poolal.errors import ConfigurationError
-from poolal.learner import samples_to_arrays
 from poolal.synthgen import GeneratorSpec, generate, tissue_benchmark_preset
 
 
@@ -36,29 +35,27 @@ class TestGenerate:
         b2 = generate(spec_3class())
         for split in ("train", "validation", "test"):
             s1, s2 = getattr(b1, split), getattr(b2, split)
-            assert [s.id for s in s1] == [s.id for s in s2]
-            assert [s.label for s in s1] == [s.label for s in s2]
-            X1, _ = samples_to_arrays(list(s1))
-            X2, _ = samples_to_arrays(list(s2))
-            assert np.array_equal(X1, X2)
+            assert np.array_equal(s1.ids, s2.ids)
+            assert np.array_equal(s1.y, s2.y)
+            assert np.array_equal(s1.X, s2.X)
 
     def test_different_seed_differs(self):
-        X1, _ = samples_to_arrays(list(generate(spec_3class(seed=1)).train))
-        X2, _ = samples_to_arrays(list(generate(spec_3class(seed=2)).train))
+        X1 = generate(spec_3class(seed=1)).train.X
+        X2 = generate(spec_3class(seed=2)).train.X
         assert not np.array_equal(X1, X2)
 
     def test_ids_are_split_stamped_and_unique(self):
         bundle = generate(spec_3class())
-        ids = [s.id for split in ("train", "validation", "test") for s in getattr(bundle, split)]
+        ids = [i for split in ("train", "validation", "test") for i in getattr(bundle, split).ids.tolist()]
         assert len(set(ids)) == len(ids)
-        assert all(s.id.startswith("train-") for s in bundle.train)
-        assert all(s.id.startswith("val-") for s in bundle.validation)
+        assert all(i.startswith("train-") for i in bundle.train.ids.tolist())
+        assert all(i.startswith("val-") for i in bundle.validation.ids.tolist())
 
     def test_well_separated_clusters_nearest_mean_accuracy(self):
         # separation / sigma = 20: nearest-mean must be essentially perfect
         spec = spec_3class(auto_scale=20.0, class_sigmas=(1.0, 1.0, 1.0))
         bundle = generate(spec)
-        X, y = samples_to_arrays(list(bundle.test))
+        X, y = bundle.test.X, bundle.test.y
         preds = nearest_mean_predictions(X, spec.resolved_means())
         assert np.mean(preds == y) >= 0.999
 
@@ -69,7 +66,7 @@ class TestGenerate:
 
         spec = spec_3class(auto_scale=10.0, class_sigmas=(0.1, 0.1, 0.1))
         bundle = generate(spec)
-        X, y = samples_to_arrays(list(bundle.test))
+        X, y = bundle.test.X, bundle.test.y
         assert np.mean(nearest_mean_predictions(X, spec.resolved_means()) == y) == 1.0
 
         cfg = ExperimentConfig.from_dict(
@@ -93,7 +90,7 @@ class TestGenerate:
             overlap_pairs=((2, 1, 0.3),),
         )
         bundle = generate(spec)
-        X, y = samples_to_arrays(list(bundle.train))
+        X, y = bundle.train.X, bundle.train.y
         preds = nearest_mean_predictions(X, spec.resolved_means())
         mask = y == 2
         recall = np.mean(preds[mask] == 2)
@@ -125,7 +122,7 @@ class TestGenerate:
             seed=3,
         )
         bundle = generate(spec)
-        X, y = samples_to_arrays(list(bundle.train))
+        X, y = bundle.train.X, bundle.train.y
         assert np.linalg.norm(X[y == 0].mean(axis=0) - [0, 0]) < 0.5
         assert np.linalg.norm(X[y == 1].mean(axis=0) - [100, 0]) < 0.5
 
@@ -152,8 +149,8 @@ class TestSpecValidation:
         clone = GeneratorSpec.from_dict(spec.to_dict())
         assert clone.to_dict() == spec.to_dict()
         assert np.array_equal(
-            samples_to_arrays(list(generate(clone).train))[0],
-            samples_to_arrays(list(generate(spec).train))[0],
+            generate(clone).train.X,
+            generate(spec).train.X,
         )
 
 
