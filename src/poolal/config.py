@@ -42,6 +42,16 @@ def canonical_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def _int_field(raw: dict[str, Any], key: str, default: int | None) -> int | None:
+    """``raw[key]`` if it is an integer (``default`` if absent or null); errors name the key."""
+    value = raw.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment arm: dataset, strategy or fraction, budgets, learner, seeds."""
@@ -86,6 +96,11 @@ class ExperimentConfig:
                     )
                 if self.budget < 1 and self.strategy.name != "entropy_topk":
                     raise ConfigurationError(f"budget must be >= 1, got {self.budget}")
+            if self.per_class_initial < 1:
+                raise ConfigurationError(
+                    f"arm 'al' needs a non-empty initial training set: per_class_initial must be >= 1, "
+                    f"got {self.per_class_initial}"
+                )
         if self.per_class_initial < 0:
             raise ConfigurationError(f"per_class_initial must be >= 0, got {self.per_class_initial}")
         if self.max_iterations is not None and self.max_iterations < 1:
@@ -137,9 +152,9 @@ class ExperimentConfig:
             dataset=str(raw.get("dataset", "")),
             arm=str(arm),
             strategy=strategy,
-            per_class_initial=int(raw.get("per_class_initial", 0)),
-            budget=int(raw.get("budget", 0)),
-            max_iterations=None if raw.get("max_iterations") is None else int(raw["max_iterations"]),
+            per_class_initial=_int_field(raw, "per_class_initial", 0),
+            budget=_int_field(raw, "budget", 0),
+            max_iterations=_int_field(raw, "max_iterations", None),
             stop_on_exhaustion=bool(raw.get("stop_on_exhaustion", False)),
             sl_fraction=None if raw.get("sl_fraction") is None else float(raw["sl_fraction"]),
             learner=learner,

@@ -228,8 +228,6 @@ def run_active_learning(
 
     rng = RandomSource(seed)
     ts, pools = split_initial(bundle.train, bundle.num_classes, config.per_class_initial, rng.derive("split"))
-    if ts.size == 0:
-        raise ConfigurationError("initial training set is empty; raise per_class_initial")
 
     full_train_delta = np.asarray(bundle.split_counts(bundle.train), dtype=float) / len(bundle.train)
     iterations: list[IterationRecord] = []

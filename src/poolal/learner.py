@@ -2,9 +2,10 @@
 
 Two native learners share one parameter/gradient layer: a softmax-linear
 model and a one-hidden-layer tanh MLP, both trained with mini-batch SGD on
-mean cross-entropy and patience-based early stopping. The analytic
-gradients are verifiable against central finite differences via
-:func:`gradient_check`.
+mean cross-entropy and patience-based early stopping. An SGD step is
+gradient-only; the loss is computed once per epoch, on the training and
+validation sets. :func:`gradient_check` verifies the step's analytic
+gradients against central finite differences.
 
 All math is float64; training is single-threaded and bit-reproducible for
 a fixed :class:`~poolal.core.RandomSource`.
@@ -12,6 +13,7 @@ a fixed :class:`~poolal.core.RandomSource`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,18 +57,20 @@ class LearnerConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown learner kind {self.kind!r}; expected one of {KINDS}")
-        if self.learning_rate < 0:
-            raise ConfigurationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigurationError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ConfigurationError(f"patience must be >= 1, got {self.patience}")
-        if self.hidden_units < 1:
-            raise ConfigurationError(f"hidden_units must be >= 1, got {self.hidden_units}")
-        if self.init_scale < 0:
-            raise ConfigurationError(f"init_scale must be >= 0, got {self.init_scale}")
+        for name in ("batch_size", "max_epochs", "patience", "hidden_units"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        for name in ("learning_rate", "init_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+            if value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+        if not isinstance(self.warm_start, bool):
+            raise ConfigurationError(f"warm_start must be true or false, got {self.warm_start!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -126,11 +130,20 @@ def _init_params(config: LearnerConfig, feature_dim: int, num_classes: int, gen:
     }
 
 
-def _logits(kind: str, params: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
+def _forward(kind: str, params: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Hidden activations (None for the linear model) and logits, built in place."""
     if kind == "softmax_linear":
-        return X @ params["W"] + params["b"]
-    h = np.tanh(X @ params["W1"] + params["b1"])
-    return h @ params["W2"] + params["b2"]
+        z = X @ params["W"]
+        z += params["b"]
+        return None, z
+    if kind != "mlp":
+        raise ConfigurationError(f"unknown learner kind {kind!r}")
+    h = X @ params["W1"]
+    h += params["b1"]
+    np.tanh(h, out=h)
+    z = h @ params["W2"]
+    z += params["b2"]
+    return h, z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -140,48 +153,33 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _mean_cross_entropy(kind: str, params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> float:
-    z = _logits(kind, params, X)
+    _, z = _forward(kind, params, X)
     zmax = z.max(axis=1)
-    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+    e = z - zmax[:, None]
+    np.exp(e, out=e)
+    lse = zmax + np.log(e.sum(axis=1))
     return float(np.mean(lse - z[np.arange(len(y)), y]))
 
 
-def loss_and_gradient(
-    kind: str,
-    params: dict[str, np.ndarray],
-    X: np.ndarray,
-    y: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over (X, y) and its gradient w.r.t. every parameter."""
+def _gradients(kind: str, params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
+    """Mean cross-entropy gradient over (X, y), formed in place in the logits; no loss."""
     n = X.shape[0]
-    if kind == "softmax_linear":
-        z = X @ params["W"] + params["b"]
-        p = _softmax(z)
-        g = p.copy()
-        g[np.arange(n), y] -= 1.0
-        g /= n
-        grads = {"W": X.T @ g, "b": g.sum(axis=0)}
-    elif kind == "mlp":
-        h = np.tanh(X @ params["W1"] + params["b1"])
-        z = h @ params["W2"] + params["b2"]
-        p = _softmax(z)
-        g = p.copy()
-        g[np.arange(n), y] -= 1.0
-        g /= n
-        gh = (g @ params["W2"].T) * (1.0 - h * h)
-        grads = {
-            "W1": X.T @ gh,
-            "b1": gh.sum(axis=0),
-            "W2": h.T @ g,
-            "b2": g.sum(axis=0),
-        }
-    else:
-        raise ConfigurationError(f"unknown learner kind {kind!r}")
+    h, g = _forward(kind, params, X)
+    g -= g.max(axis=1, keepdims=True)
+    np.exp(g, out=g)
+    g /= g.sum(axis=1, keepdims=True)
+    g[np.arange(n), y] -= 1.0
+    g /= n
+    if h is None:
+        return {"W": X.T @ g, "b": g.sum(axis=0)}
+    gh = g @ params["W2"].T
+    gh *= 1.0 - h * h
+    return {"W1": X.T @ gh, "b1": gh.sum(axis=0), "W2": h.T @ g, "b2": g.sum(axis=0)}
 
-    zmax = z.max(axis=1)
-    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    loss = float(np.mean(lse - z[np.arange(n), y]))
-    return loss, grads
+
+def loss_and_gradient(kind: str, params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy over (X, y) and its gradient w.r.t. every parameter."""
+    return _mean_cross_entropy(kind, params, X, y), _gradients(kind, params, X, y)
 
 
 def _check_initial(initial: TrainedModel, config: LearnerConfig, feature_dim: int, num_classes: int) -> None:
@@ -238,16 +236,17 @@ def train(
     best_epoch = 0
     bad_epochs = 0
 
+    kind, lr, batch_size = config.kind, config.learning_rate, config.batch_size
     for epoch in range(1, config.max_epochs + 1):
         order = gen.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            _, grads = loss_and_gradient(config.kind, params, X[idx], y[idx])
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            grads = _gradients(kind, params, X[idx], y[idx])
             for k in params:
-                params[k] -= config.learning_rate * grads[k]
+                params[k] -= lr * grads[k]
 
-        train_loss = _mean_cross_entropy(config.kind, params, X, y)
-        val_loss = _mean_cross_entropy(config.kind, params, Xv, yv)
+        train_loss = _mean_cross_entropy(kind, params, X, y)
+        val_loss = _mean_cross_entropy(kind, params, Xv, yv)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingError(f"non-finite loss at epoch {epoch} (training diverged)")
         log.append(EpochStats(train_loss=train_loss, val_loss=val_loss))
@@ -286,7 +285,7 @@ def predict_proba(model: TrainedModel, features: np.ndarray) -> np.ndarray:
     """Class-probability vector for one feature vector (softmax of the logits)."""
     features = _check_features(model, features)
     squeeze = features.ndim == 1
-    z = _logits(model.kind, model.params, np.atleast_2d(features))
+    _, z = _forward(model.kind, model.params, np.atleast_2d(features))
     p = _softmax(z)
     return p[0] if squeeze else p
 
@@ -294,7 +293,7 @@ def predict_proba(model: TrainedModel, features: np.ndarray) -> np.ndarray:
 def predict_batch(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Predicted class indices for a feature matrix; ties go to the lowest index."""
     X = _check_features(model, np.atleast_2d(np.asarray(X, dtype=float)))
-    return np.argmax(_softmax(_logits(model.kind, model.params, X)), axis=1)
+    return np.argmax(_softmax(_forward(model.kind, model.params, X)[1]), axis=1)
 
 
 def predict(model: TrainedModel, features: np.ndarray) -> int:
@@ -325,7 +324,7 @@ def gradient_check(
     for k in params:
         params[k] = gen.uniform(-0.5, 0.5, size=params[k].shape)
 
-    _, grads = loss_and_gradient(config.kind, params, X, y)
+    grads = _gradients(config.kind, params, X, y)
 
     max_rel = 0.0
     for name in sorted(params):

@@ -13,8 +13,10 @@ Three active arms and one baseline sampler:
 * Stratified fraction sampling for the supervised-fraction baseline arms.
 
 Fractional shares are integerized with largest-remainder (Hamilton)
-rounding, ties broken by ascending class index, so budgets are conserved
-exactly and bigger shares never receive smaller counts.
+rounding, so budgets are conserved exactly and bigger shares never receive
+smaller counts. Remainders are compared as floats: ascending class index
+breaks a tie only between bit-equal float remainders (see
+:func:`largest_remainder`).
 """
 
 from __future__ import annotations
@@ -83,8 +85,13 @@ def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     """Integerize ``total * weights / weights.sum()`` conserving the total.
 
     Hamilton rounding: floor every quota, then hand the leftover units to the
-    largest fractional remainders, ties broken by ascending index. Requires a
-    strictly positive weight sum.
+    largest fractional remainders. The remainders are the float values
+    ``quotas - floor(quotas)``, and ascending index breaks ties only between
+    bit-equal ones. Remainders that are equal as exact rationals can differ
+    in their last bits, and then the larger float wins whatever its index:
+    weights 30, 23, 9, 68, 10 (/250) with total 2000 tie classes 0-2 at 4/7,
+    yet give [428, 329, 129, 971, 143], not [429, 329, 128, 971, 143].
+    Requires a strictly positive weight sum.
     """
     weights = np.asarray(weights, dtype=float)
     if total < 0:

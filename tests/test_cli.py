@@ -279,6 +279,35 @@ class TestRunVerb:
         assert main(["run", "--config", str(path)]) == 2
         assert "conflicting fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "top, learner_line, field",
+        [
+            ("", "batch_size: 64.5", "batch_size"),
+            ("", "max_epochs: 2.5", "max_epochs"),
+            ("", "max_epochs: true", "max_epochs"),
+            ("", "hidden_units: 8.5", "hidden_units"),
+            ("", "learning_rate: 1e6", "learning_rate"),
+            ("", "learning_rate: .nan", "learning_rate"),
+            ("", "learning_rate: .inf", "learning_rate"),
+            ("", 'warm_start: "no"', "warm_start"),
+            ("per_class_initial: abc", "", "per_class_initial"),
+            ("per_class_initial: 0", "", "per_class_initial"),
+            ("budget: '30'", "", "budget"),
+            ("max_iterations: two", "", "max_iterations"),
+        ],
+    )
+    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, top, learner_line, field):
+        base = {k: v for k, v in RUN_CFG.items() if k not in ("learner", field)}
+        text = yaml.safe_dump(dict(base, dataset="data", output_dir=str(tmp_path / "o")))
+        text += f"{top}\nlearner:\n  kind: softmax_linear\n  {learner_line}\n"
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
 

@@ -332,9 +332,11 @@ class TestSweep:
         par = run_sweep(bundle, cfg, [0, 1], dataset_hash="h", jobs=2)
         assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_seed_identified(self):
         bundle = small_bundle(train_counts=(5, 5), overlap=())
-        cfg = al_config(per_class_initial=0, budget=5, max_iterations=2)
+        diverging = {**FAST_LEARNER, "learning_rate": 1e308, "init_scale": 1e200}
+        cfg = al_config(per_class_initial=5, budget=5, max_iterations=2, learner=diverging)
         with pytest.raises(RunError, match="seed 9"):
             run_sweep(bundle, cfg, [9])
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_split
+from oracles import reference_sgd
 from poolal.core import RandomSource, Split, TrainingSet
 from poolal.errors import ConfigurationError, TrainingError
 from poolal.learner import (
@@ -61,11 +62,29 @@ class TestLearnerConfig:
             {"patience": 0},
             {"hidden_units": 0},
             {"init_scale": -1.0},
+            {"batch_size": 64.5},
+            {"max_epochs": 2.5},
+            {"hidden_units": 8.5},
+            {"patience": "5"},
+            {"max_epochs": True},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"learning_rate": "1e6"},
+            {"learning_rate": True},
+            {"init_scale": float("inf")},
+            {"warm_start": "no"},
+            {"warm_start": 1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        (field,) = kwargs
+        with pytest.raises(ConfigurationError, match=field):
             LearnerConfig(**kwargs)
+
+    def test_values_kept_as_given(self):
+        cfg = LearnerConfig(learning_rate=0, init_scale=1)
+        assert cfg.to_dict()["learning_rate"] == 0 and type(cfg.learning_rate) is int
+        assert type(cfg.init_scale) is int
 
 
 class TestPredict:
@@ -225,3 +244,45 @@ class TestGradients:
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigurationError, match="non-empty"):
             gradient_check(LearnerConfig(), make_split([]), RandomSource(0))
+
+
+def noisy_blobs(n, seed):
+    """Three overlapping 4-d classes, so validation loss turns and early stopping can fire."""
+    gen = np.random.default_rng(seed)
+    y = np.arange(n) % 3
+    X = gen.standard_normal((n, 4)) + np.eye(3, 4)[y]
+    return Split(X, y, [f"nb{seed}-{i}" for i in range(n)])
+
+
+class TestTrainMatchesReference:
+    """``train`` steps with gradients only; it must stay bit-identical to the loss-and-gradient loop."""
+
+    @pytest.mark.parametrize(
+        "kwargs, early_stop",
+        [
+            ({"kind": "softmax_linear", "learning_rate": 0.05, "batch_size": 16, "max_epochs": 25, "patience": 25}, False),
+            ({"kind": "softmax_linear", "learning_rate": 2.0, "batch_size": 16, "max_epochs": 40, "patience": 2}, True),
+            ({"kind": "mlp", "hidden_units": 6, "learning_rate": 0.1, "batch_size": 16, "max_epochs": 25, "patience": 25, "init_scale": 0.5}, False),
+            ({"kind": "mlp", "hidden_units": 6, "learning_rate": 3.0, "batch_size": 16, "max_epochs": 40, "patience": 2, "init_scale": 0.5}, True),
+        ],
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_bit_identical_to_reference(self, kwargs, early_stop, warm):
+        train_split, val = noisy_blobs(101, seed=1), noisy_blobs(60, seed=2)
+        cfg = LearnerConfig(**kwargs, warm_start=warm)
+        initial = train(cfg, every_row(train_split, 3), val, RandomSource(5)) if warm else None
+        model = train(cfg, every_row(train_split, 3), val, RandomSource(7), initial=initial)
+
+        params, log, best_epoch, stopped_epoch = reference_sgd(
+            cfg.kind, train_split.X, train_split.y, val.X, val.y, RandomSource(7).generator(),
+            learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, max_epochs=cfg.max_epochs,
+            patience=cfg.patience, num_classes=3, hidden_units=cfg.hidden_units, init_scale=cfg.init_scale,
+            initial=None if initial is None else initial.params,
+        )
+        assert len(train_split) % cfg.batch_size != 0
+        assert (stopped_epoch < cfg.max_epochs) == early_stop
+        assert (model.best_epoch, model.stopped_epoch) == (best_epoch, stopped_epoch)
+        assert [(e.train_loss, e.val_loss) for e in model.training_log] == log
+        assert sorted(model.params) == sorted(params)
+        for k in params:
+            assert model.params[k].tobytes() == params[k].tobytes()

@@ -32,6 +32,13 @@ class TestLargestRemainder:
     def test_equal_weights_tie_break_by_index(self):
         assert largest_remainder(np.array([1.0, 1.0, 1.0]), 10).tolist() == [4, 3, 3]
 
+    def test_index_breaks_only_bit_equal_float_ties(self):
+        # Classes 0-2 tie at remainder 4/7 as rationals, and two of the three
+        # leftover units go among them. The float remainders differ in their
+        # last bits, so classes 1 and 2 get them, not 0 and 1 by index.
+        fnr = np.array([30, 23, 9, 68, 10]) / 250
+        assert largest_remainder(fnr, 2000).tolist() == [428, 329, 129, 971, 143]
+
     def test_exact_shares_untouched(self):
         assert largest_remainder(np.array([0.2, 0.1, 0.1, 0.1, 0.0]), 20000 * 1).tolist() == [
             8000,
