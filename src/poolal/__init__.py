@@ -21,7 +21,6 @@ from .core import (
 from .engine import (
     IterationRecord,
     RunRecord,
-    StoppingRule,
     evaluate_model,
     run_active_learning,
     run_one,
@@ -47,12 +46,12 @@ from .learner import (
 )
 from .metrics import ConfusionMatrix, MetricsReport, confusion, report
 from .strategy import (
-    AllocationRequest,
-    StrategyKind,
+    Strategy,
     allocate_fnr,
     allocate_proportional,
     entropy_of,
     largest_remainder,
+    parse_strategy,
     row_entropies,
     sample_fraction,
     select_entropy_topk,

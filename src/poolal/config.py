@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .errors import ConfigurationError
-from .learner import LearnerConfig
-from .strategy import StrategyKind
+from .learner import LearnerConfig, is_finite_number
+from .strategy import Strategy, parse_strategy
 
 __all__ = ["ExperimentConfig", "canonical_hash"]
 
@@ -42,14 +42,17 @@ def canonical_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def _int_field(raw: dict[str, Any], key: str, default: int | None) -> int | None:
-    """``raw[key]`` if it is an integer (``default`` if absent or null); errors name the key."""
-    value = raw.get(key)
-    if value is None:
-        return default
+def _as_int(key: str, value: Any) -> int:
+    """``value`` if it is an integer, unconverted; the error names ``key``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _int_field(raw: dict[str, Any], key: str, default: int | None) -> int | None:
+    """``raw[key]`` if it is an integer (``default`` if absent or null); errors name the key."""
+    value = raw.get(key)
+    return default if value is None else _as_int(key, value)
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class ExperimentConfig:
 
     dataset: str
     arm: str
-    strategy: StrategyKind | None
+    strategy: Strategy | None
     per_class_initial: int
     budget: int
     max_iterations: int | None
@@ -122,15 +125,22 @@ class ExperimentConfig:
 
         arm = raw.get("arm", "al")
         strategy_name = raw.get("strategy")
+        candidate_count = _int_field(raw, "candidate_count", None)
+        select_count = _int_field(raw, "select_count", None)
         strategy = None
         if strategy_name is not None:
-            strategy = StrategyKind(
-                name=str(strategy_name),
-                candidate_count=raw.get("candidate_count"),
-                select_count=raw.get("select_count"),
-            )
-        elif raw.get("candidate_count") is not None or raw.get("select_count") is not None:
+            strategy = parse_strategy(str(strategy_name), candidate_count, select_count)
+        elif candidate_count is not None or select_count is not None:
             raise ConfigurationError("candidate_count/select_count require strategy 'entropy_topk'")
+
+        stop_on_exhaustion = raw.get("stop_on_exhaustion")
+        if stop_on_exhaustion is not None and not isinstance(stop_on_exhaustion, bool):
+            raise ConfigurationError(f"stop_on_exhaustion must be true or false, got {stop_on_exhaustion!r}")
+        sl_fraction = raw.get("sl_fraction")
+        if sl_fraction is not None:
+            if not is_finite_number(sl_fraction):
+                raise ConfigurationError(f"sl_fraction must be a finite number, got {sl_fraction!r}")
+            sl_fraction = float(sl_fraction)
 
         learner_raw = raw.get("learner") or {}
         if not isinstance(learner_raw, dict):
@@ -141,12 +151,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"invalid learner options: {e}") from e
 
         seeds_raw = raw.get("seeds", [0])
-        if isinstance(seeds_raw, int):
+        if not isinstance(seeds_raw, (list, tuple)):
             seeds_raw = [seeds_raw]
-        try:
-            seeds = tuple(int(s) for s in seeds_raw)
-        except (TypeError, ValueError) as e:
-            raise ConfigurationError(f"seeds must be integers: {e}") from e
+        seeds = tuple(_as_int("seeds", s) for s in seeds_raw)
 
         return cls(
             dataset=str(raw.get("dataset", "")),
@@ -155,30 +162,18 @@ class ExperimentConfig:
             per_class_initial=_int_field(raw, "per_class_initial", 0),
             budget=_int_field(raw, "budget", 0),
             max_iterations=_int_field(raw, "max_iterations", None),
-            stop_on_exhaustion=bool(raw.get("stop_on_exhaustion", False)),
-            sl_fraction=None if raw.get("sl_fraction") is None else float(raw["sl_fraction"]),
+            stop_on_exhaustion=bool(stop_on_exhaustion),
+            sl_fraction=sl_fraction,
             learner=learner,
             seeds=seeds,
             output_dir=str(raw.get("output_dir", "out")),
         )
 
     def to_dict(self) -> dict:
-        d: dict[str, Any] = {
-            "dataset": self.dataset,
-            "arm": self.arm,
-            "strategy": None if self.strategy is None else self.strategy.name,
-            "per_class_initial": self.per_class_initial,
-            "budget": self.budget,
-            "max_iterations": self.max_iterations,
-            "stop_on_exhaustion": self.stop_on_exhaustion,
-            "sl_fraction": self.sl_fraction,
-            "seeds": list(self.seeds),
-            "output_dir": self.output_dir,
-            "learner": self.learner.to_dict(),
-        }
-        if self.strategy is not None and self.strategy.name == "entropy_topk":
-            d["candidate_count"] = self.strategy.candidate_count
-            d["select_count"] = self.strategy.select_count
+        d = asdict(self)
+        d.update(strategy=None, seeds=list(self.seeds))
+        if self.strategy is not None:
+            d.update(strategy=self.strategy.name, **asdict(self.strategy))
         return d
 
     def config_hash(self) -> str:

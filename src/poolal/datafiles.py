@@ -52,6 +52,22 @@ def _write_split_csv(path: Path, split: Split, class_names: list[str], feature_d
             writer.writerow([sample_id, class_names[label], *map(repr, features)])
 
 
+def _json_object(path: Path | str, value: object, what: str = "the file") -> dict:
+    """``value`` if it is a JSON object; the error names ``path``."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{path}: {what} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _read_json_object(path: Path | str) -> dict:
+    """The JSON object in ``path``; anything else is a ConfigurationError naming the path."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ConfigurationError(f"{path}: not valid JSON: {e}") from None
+    return _json_object(path, payload)
+
+
 def _hash_csv_files(out_dir: Path) -> str:
     h = hashlib.sha256()
     for _, fname in SPLIT_FILES:
@@ -116,12 +132,7 @@ def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, dict]:
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.is_file():
         raise ConfigurationError(f"no manifest.json in {data_dir}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"{manifest_path}: not valid JSON: {e}") from None
-    if not isinstance(manifest, dict):
-        raise ConfigurationError(f"{manifest_path}: expected a JSON object")
+    manifest = _read_json_object(manifest_path)
     if manifest.get("schema_version") != 1:
         raise ConfigurationError(f"unsupported manifest schema_version {manifest.get('schema_version')!r}")
     try:
@@ -188,10 +199,7 @@ def save_run_record(record: RunRecord, path: str | Path) -> None:
 
 
 def load_run_record(path: str | Path) -> RunRecord:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"{path}: not a valid run record: {e}") from e
+    payload = _read_json_object(path)
     try:
         return RunRecord.from_dict(payload)
     except (KeyError, TypeError) as e:
@@ -246,4 +254,9 @@ def save_model(model: TrainedModel, path: str | Path, config_hash: str | None = 
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    payload = _read_json_object(path)
+    _json_object(path, payload.get("params"), "'params'")
+    try:
+        return model_from_dict(payload)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigurationError(f"{path}: malformed checkpoint ({e})") from e

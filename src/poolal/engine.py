@@ -10,7 +10,7 @@ same immutable dataset bundle.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,16 +20,9 @@ from .core import ClassPools, DatasetBundle, RandomSource, Split, TrainingSet, c
 from .errors import ConfigurationError, PoolsExhaustedError, RunError, TrainingError
 from .learner import TrainedModel, predict_batch, train
 from .metrics import MetricsReport, confusion, report
-from .strategy import (
-    allocate_fnr,
-    allocate_proportional,
-    largest_remainder,
-    sample_fraction,
-    select_entropy_topk,
-)
+from .strategy import sample_fraction
 
 __all__ = [
-    "StoppingRule",
     "IterationRecord",
     "RunRecord",
     "evaluate_model",
@@ -39,28 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StoppingRule:
-    """When the loop ends: an iteration cap, pool exhaustion, or both."""
-
-    max_iterations: int | None = None
-    stop_on_exhaustion: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_iterations is None and not self.stop_on_exhaustion:
-            raise ConfigurationError("at least one stopping criterion must be enabled")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ConfigurationError(f"max_iterations must be >= 1 or None, got {self.max_iterations}")
-
-
 @dataclass
 class IterationRecord:
     """Everything one loop iteration produced.
 
-    ``allocation`` is the per-class request computed from this iteration's
-    validation FNR (it feeds the next training set); it stays None on the
-    terminal iteration. ``shortfall`` is the per-class gap between what was
-    requested and what the pools could provide.
+    ``allocation`` and ``shortfall`` describe the append that follows this
+    round; both stay at their defaults (None and zeros) on the terminal
+    iteration. For the allocating arms (``fnr_proportional``,
+    ``proportional_random``) ``allocation`` is the per-class request and
+    ``shortfall`` the part of it the pools could not provide. For
+    ``entropy_topk``, ``allocation`` counts the kept rows per class and
+    ``shortfall`` is each class's candidate share minus its pool stock before
+    the draw, not a gap in the kept rows.
     """
 
     iteration: int
@@ -73,16 +56,7 @@ class IterationRecord:
     shortfall: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "train_counts": self.train_counts,
-            "delta": self.delta,
-            "val_fnr": self.val_fnr,
-            "val_metrics": self.val_metrics.to_dict(),
-            "learner_stopped_epoch": self.learner_stopped_epoch,
-            "allocation": self.allocation,
-            "shortfall": self.shortfall,
-        }
+        return {**asdict(self), "val_metrics": self.val_metrics.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "IterationRecord":
@@ -177,6 +151,20 @@ def _check_append(ts: TrainingSet, new_rows: np.ndarray, pools: ClassPools, budg
         raise RunError(f"loop invariant broken: sample {ts.split.id_of(row)!r} is held {times_held[row]} times, not once")
 
 
+def _round_record(bundle: DatasetBundle, ts: TrainingSet, model: TrainedModel) -> IterationRecord:
+    """The record of one training round, before any append."""
+    val_metrics = evaluate_model(model, bundle.validation, bundle.num_classes)
+    return IterationRecord(
+        iteration=ts.iteration,
+        train_counts=list(ts.counts),
+        delta=[float(x) for x in class_balance(ts)],
+        val_fnr=[float(x) for x in val_metrics.fnr_vector()],
+        val_metrics=val_metrics,
+        learner_stopped_epoch=model.stopped_epoch,
+        shortfall=[0] * bundle.num_classes,
+    )
+
+
 def _terminal_record(
     bundle: DatasetBundle,
     config: ExperimentConfig,
@@ -220,20 +208,13 @@ def run_active_learning(
     if config.arm != "al" or config.strategy is None:
         raise ConfigurationError("run_active_learning needs an 'al' config with a strategy")
     strategy = config.strategy
-    stopping = (
-        StoppingRule(config.max_iterations, config.stop_on_exhaustion)
-        if strategy.name != "none"
-        else StoppingRule(max_iterations=1)
-    )
 
     rng = RandomSource(seed)
     ts, pools = split_initial(bundle.train, bundle.num_classes, config.per_class_initial, rng.derive("split"))
 
-    full_train_delta = np.asarray(bundle.split_counts(bundle.train), dtype=float) / len(bundle.train)
     iterations: list[IterationRecord] = []
     model: TrainedModel | None = None
     append_count = 0
-    stop_reason = ""
 
     while True:
         j = ts.iteration
@@ -247,40 +228,19 @@ def run_active_learning(
             )
         except TrainingError as e:
             raise TrainingError(f"iteration {j}: {e}") from e
-        val_metrics = evaluate_model(model, bundle.validation, bundle.num_classes)
-        rec = IterationRecord(
-            iteration=j,
-            train_counts=list(ts.counts),
-            delta=[float(x) for x in class_balance(ts)],
-            val_fnr=[float(x) for x in val_metrics.fnr_vector()],
-            val_metrics=val_metrics,
-            learner_stopped_epoch=model.stopped_epoch,
-            allocation=None,
-            shortfall=[0] * bundle.num_classes,
-        )
+        rec = _round_record(bundle, ts, model)
         iterations.append(rec)
 
-        if strategy.name == "none":
+        if config.max_iterations is not None and append_count >= config.max_iterations:
+            stop_reason = f"max_iterations ({config.max_iterations}) reached"
+            break
+        requested = strategy.request(rec, pools, config.budget)
+        if requested is None:
             stop_reason = "single_round"
             break
-        if stopping.max_iterations is not None and append_count >= stopping.max_iterations:
-            stop_reason = f"max_iterations ({stopping.max_iterations}) reached"
-            break
-
-        if strategy.name == "entropy_topk":
-            requested = largest_remainder(full_train_delta, strategy.candidate_count)
-            budget_total = strategy.select_count
-        elif strategy.name == "fnr_proportional":
-            request = allocate_fnr(rec.val_fnr, config.budget, pools, iteration=j)
-            requested = np.asarray(request.counts, dtype=np.int64)
-            budget_total = config.budget
-        else:
-            request = allocate_proportional(rec.delta, config.budget, pools, iteration=j)
-            requested = np.asarray(request.counts, dtype=np.int64)
-            budget_total = config.budget
 
         remaining = np.asarray(pools.remaining_counts(), dtype=np.int64)
-        if stopping.stop_on_exhaustion and bool(np.any(requested > remaining)):
+        if config.stop_on_exhaustion and bool(np.any(requested > remaining)):
             short = int(np.argmax(requested - remaining))
             stop_reason = (
                 f"pool exhausted: class {bundle.classes[short].name!r} requested "
@@ -288,33 +248,17 @@ def run_active_learning(
             )
             break
 
-        if strategy.name == "entropy_topk":
-            try:
-                new_rows = select_entropy_topk(
-                    model,
-                    pools,
-                    full_train_delta,
-                    strategy.candidate_count,
-                    strategy.select_count,
-                    rng.derive("entropy", j),
-                )
-            except PoolsExhaustedError:
-                stop_reason = "pools exhausted: no entropy candidates available"
-                break
-            rec.allocation = np.bincount(bundle.train.y[new_rows], minlength=bundle.num_classes).tolist()
-            rec.shortfall = [int(max(0, r - a)) for r, a in zip(requested, remaining)]
-        else:
-            drawn = [pools.draw(i, int(n)) for i, n in enumerate(requested)]
-            new_rows = np.concatenate(drawn)
-            rec.allocation = [int(n) for n in requested]
-            rec.shortfall = [int(n) - len(got) for n, got in zip(requested, drawn)]
-
+        try:
+            # keyed ("entropy", j): entropy top-k is the one arm that draws from this stream
+            new_rows, allocation, shortfall = strategy.acquire(model, pools, requested, rng.derive("entropy", j))
+        except PoolsExhaustedError as e:
+            stop_reason = f"pools exhausted: {e}"
+            break
         if not len(new_rows):
             stop_reason = "pools exhausted: nothing left to append"
-            rec.allocation = None
-            rec.shortfall = [0] * bundle.num_classes
             break
-        _check_append(ts, new_rows, pools, budget_total)
+        rec.allocation, rec.shortfall = allocation, shortfall
+        _check_append(ts, new_rows, pools, strategy.round_cap(config.budget))
         ts = ts.extended(new_rows)
         append_count += 1
 
@@ -336,17 +280,7 @@ def run_supervised(
     subset = sample_fraction(bundle.train, fraction, rng.derive("sl_sample"))
     ts = TrainingSet.from_rows(bundle.train, subset, bundle.num_classes)
     model = train(config.learner, ts, bundle.validation, rng.derive("train", 0))
-    val_metrics = evaluate_model(model, bundle.validation, bundle.num_classes)
-    rec = IterationRecord(
-        iteration=0,
-        train_counts=list(ts.counts),
-        delta=[float(x) for x in class_balance(ts)],
-        val_fnr=[float(x) for x in val_metrics.fnr_vector()],
-        val_metrics=val_metrics,
-        learner_stopped_epoch=model.stopped_epoch,
-        allocation=None,
-        shortfall=[0] * bundle.num_classes,
-    )
+    rec = _round_record(bundle, ts, model)
     return _terminal_record(
         bundle, config, seed, dataset_hash, [rec], model, ts, 0, f"supervised fraction {fraction:g}"
     )
@@ -378,6 +312,8 @@ def run_sweep(
     """
     if not seeds:
         raise ConfigurationError("run_sweep needs at least one seed")
+    if min(seeds) < 0:
+        raise ConfigurationError(f"seeds must be >= 0, got {min(seeds)}")
     tasks = [(bundle, config, int(s), dataset_hash) for s in seeds]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

@@ -14,7 +14,7 @@ a fixed :class:`~poolal.core.RandomSource`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import ConfigurationError, TrainingError
 
 __all__ = [
     "LearnerConfig",
+    "is_finite_number",
     "EpochStats",
     "TrainedModel",
     "train",
@@ -35,6 +36,14 @@ __all__ = [
 ]
 
 KINDS = ("softmax_linear", "mlp")
+
+
+def is_finite_number(value: object) -> bool:
+    """True for an int or float (not a bool) that is finite as a float."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,7 @@ class LearnerConfig:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
         for name in ("learning_rate", "init_scale"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            if not is_finite_number(value):
                 raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
             if value < 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {value}")
@@ -73,16 +82,7 @@ class LearnerConfig:
             raise ConfigurationError(f"warm_start must be true or false, got {self.warm_start!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "hidden_units": self.hidden_units,
-            "init_scale": self.init_scale,
-            "warm_start": self.warm_start,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

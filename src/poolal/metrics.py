@@ -10,7 +10,7 @@ formatting is the reporting layer's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,35 +58,12 @@ class MetricsReport:
         return np.array([m.f1 for m in self.per_class])
 
     def to_dict(self) -> dict:
-        return {
-            "per_class": [
-                {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "fnr": m.fnr,
-                    "support": m.support,
-                }
-                for m in self.per_class
-            ],
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "accuracy": self.accuracy,
-        }
+        return {**asdict(self), "per_class": [asdict(m) for m in self.per_class]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
         return cls(
-            per_class=tuple(
-                ClassMetrics(
-                    precision=m["precision"],
-                    recall=m["recall"],
-                    f1=m["f1"],
-                    fnr=m["fnr"],
-                    support=m["support"],
-                )
-                for m in d["per_class"]
-            ),
+            per_class=tuple(ClassMetrics(**m) for m in d["per_class"]),
             micro_f1=d["micro_f1"],
             macro_f1=d["macro_f1"],
             accuracy=d["accuracy"],

@@ -1,6 +1,6 @@
 """Query strategies deciding which samples to pull from the pools next.
 
-Three active arms and one baseline sampler:
+Three active arms, a single-round arm and one baseline sampler:
 
 * FNR-proportional allocation: each class's share of the acquisition budget
   is its validation false-negative rate divided by the FNR sum, so the
@@ -10,7 +10,12 @@ Three active arms and one baseline sampler:
   is kept; the rest go back to the pools.
 * Proportional-random allocation: budget split by a supplied class balance,
   the no-signal control.
+* ``none``: the learner trains once on the initial set and nothing is requested.
 * Stratified fraction sampling for the supervised-fraction baseline arms.
+
+Each arm is a :class:`Strategy`, so the engine never asks which arm it runs.
+Its methods call the functions below by their module-global names, so code
+that swaps those names (tracing, tests) sees every call.
 
 Fractional shares are integerized with largest-remainder (Hamilton)
 rounding, so budgets are conserved exactly and bigger shares never receive
@@ -22,7 +27,7 @@ breaks a tie only between bit-equal float remainders (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
@@ -30,9 +35,15 @@ from .core import ClassPools, RandomSource, Split
 from .errors import ConfigurationError, PoolsExhaustedError
 from .learner import TrainedModel, predict_proba, samples_to_arrays
 
+if TYPE_CHECKING:
+    from .engine import IterationRecord
+
 __all__ = [
-    "AllocationRequest",
-    "StrategyKind",
+    "Strategy",
+    "FnrProportional",
+    "ProportionalRandom",
+    "EntropyTopK",
+    "parse_strategy",
     "largest_remainder",
     "allocate_fnr",
     "allocate_proportional",
@@ -41,44 +52,6 @@ __all__ = [
     "select_entropy_topk",
     "sample_fraction",
 ]
-
-STRATEGY_NAMES = ("fnr_proportional", "entropy_topk", "proportional_random", "none")
-
-
-@dataclass(frozen=True)
-class AllocationRequest:
-    """Per-class counts requested from the pools for one iteration."""
-
-    counts: tuple[int, ...]
-    iteration: int
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
-class StrategyKind:
-    """Which query strategy to run, plus the entropy arm's candidate sizes."""
-
-    name: str
-    candidate_count: int | None = None
-    select_count: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.name not in STRATEGY_NAMES:
-            raise ConfigurationError(f"unknown strategy {self.name!r}; expected one of {STRATEGY_NAMES}")
-        if self.name == "entropy_topk":
-            if self.candidate_count is None or self.select_count is None:
-                raise ConfigurationError("entropy_topk requires candidate_count and select_count")
-            if self.candidate_count < 1 or self.select_count < 1:
-                raise ConfigurationError("entropy_topk counts must be >= 1")
-            if self.select_count > self.candidate_count:
-                raise ConfigurationError(
-                    f"select_count ({self.select_count}) must be <= candidate_count ({self.candidate_count})"
-                )
-        elif self.candidate_count is not None or self.select_count is not None:
-            raise ConfigurationError(f"candidate/select counts only apply to entropy_topk, not {self.name!r}")
 
 
 def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
@@ -109,52 +82,42 @@ def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def _validate_rates(name: str, values: np.ndarray) -> None:
+def _class_rates(name: str, values: Sequence[float], budget: int, pools: ClassPools) -> np.ndarray:
+    """``values`` as a float array after the checks both allocators share."""
+    values = np.asarray(values, dtype=float)
+    if budget < 0:
+        raise ConfigurationError(f"budget must be >= 0, got {budget}")
+    if len(values) != pools.num_classes:
+        raise ConfigurationError(f"{name} length {len(values)} != number of classes {pools.num_classes}")
     if not np.all(np.isfinite(values)):
         raise ConfigurationError(f"{name} entries must be finite")
     if np.any(values < 0) or np.any(values > 1):
         raise ConfigurationError(f"{name} entries must lie in [0, 1]")
+    return values
 
 
-def allocate_fnr(fnr: Sequence[float], budget: int, pools: ClassPools, iteration: int = 0) -> AllocationRequest:
+def allocate_fnr(fnr: Sequence[float], budget: int, pools: ClassPools) -> np.ndarray:
     """Split the acquisition budget across classes proportionally to their FNR.
 
     When every FNR is zero (perfect validation performance) the budget falls
     back to a uniform split over classes that still have pool stock. Counts
     are not clipped to pool sizes here; shortfall is the caller's concern.
     """
-    fnr = np.asarray(fnr, dtype=float)
-    if budget < 0:
-        raise ConfigurationError(f"budget must be >= 0, got {budget}")
-    if len(fnr) != pools.num_classes:
-        raise ConfigurationError(f"fnr length {len(fnr)} != number of classes {pools.num_classes}")
-    _validate_rates("fnr", fnr)
-
+    fnr = _class_rates("fnr", fnr, budget, pools)
     if fnr.sum() > 0:
-        counts = largest_remainder(fnr, budget)
-    else:
-        nonempty = np.array([1.0 if r > 0 else 0.0 for r in pools.remaining_counts()])
-        if nonempty.sum() == 0:
-            counts = np.zeros(pools.num_classes, dtype=np.int64)
-        else:
-            counts = largest_remainder(nonempty, budget)
-    return AllocationRequest(counts=tuple(int(c) for c in counts), iteration=iteration)
+        return largest_remainder(fnr, budget)
+    nonempty = np.array([1.0 if r > 0 else 0.0 for r in pools.remaining_counts()])
+    if nonempty.sum() == 0:
+        return np.zeros(pools.num_classes, dtype=np.int64)
+    return largest_remainder(nonempty, budget)
 
 
-def allocate_proportional(
-    delta: Sequence[float], budget: int, pools: ClassPools, iteration: int = 0
-) -> AllocationRequest:
+def allocate_proportional(delta: Sequence[float], budget: int, pools: ClassPools) -> np.ndarray:
     """Split the budget proportionally to a class-balance vector (control arm)."""
-    delta = np.asarray(delta, dtype=float)
-    if budget < 0:
-        raise ConfigurationError(f"budget must be >= 0, got {budget}")
-    if len(delta) != pools.num_classes:
-        raise ConfigurationError(f"delta length {len(delta)} != number of classes {pools.num_classes}")
-    _validate_rates("delta", delta)
+    delta = _class_rates("delta", delta, budget, pools)
     if delta.sum() <= 0:
         raise ConfigurationError("delta must have a positive sum")
-    counts = largest_remainder(delta, budget)
-    return AllocationRequest(counts=tuple(int(c) for c in counts), iteration=iteration)
+    return largest_remainder(delta, budget)
 
 
 def entropy_of(proba: Sequence[float]) -> float:
@@ -267,3 +230,118 @@ def sample_fraction(train: Split, fraction: float, rng: RandomSource) -> np.ndar
         group = np.flatnonzero(train.y == label)
         out.append(group[np.sort(gen.choice(len(group), size=int(t), replace=False))])
     return np.concatenate(out) if out else np.arange(0)
+
+
+def _full_train_delta(pools: ClassPools) -> np.ndarray:
+    return np.bincount(pools.split.y, minlength=pools.num_classes) / len(pools.split)
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """The ``none`` arm, and the interface of every arm.
+
+    After each round the engine takes :meth:`request`'s counts, has
+    :meth:`acquire` take rows for them, and caps the append at :meth:`round_cap`.
+    ``none`` requests nothing, so its run ends after one round.
+    """
+
+    name: ClassVar[str] = "none"
+
+    def request(self, rec: IterationRecord, pools: ClassPools, budget: int) -> np.ndarray | None:
+        """Per-class counts wanted after round ``rec`` (int64), or None to stop."""
+        return None
+
+    def acquire(
+        self, model: TrainedModel, pools: ClassPools, requested: np.ndarray, rng: RandomSource
+    ) -> tuple[np.ndarray, list[int], list[int]]:
+        """Draw each class's request: ``(rows, allocation, shortfall)``.
+
+        ``allocation`` is the request and ``shortfall`` what each pool lacked.
+        """
+        drawn = [pools.draw(i, int(n)) for i, n in enumerate(requested)]
+        shortfall = [int(n) - len(got) for n, got in zip(requested, drawn)]
+        return np.concatenate(drawn), requested.tolist(), shortfall
+
+    def round_cap(self, budget: int) -> int:
+        """The most rows one append may add; 0 means no cap."""
+        return budget
+
+
+@dataclass(frozen=True)
+class FnrProportional(Strategy):
+    """The budget split by this round's validation FNR."""
+
+    name: ClassVar[str] = "fnr_proportional"
+
+    def request(self, rec: IterationRecord, pools: ClassPools, budget: int) -> np.ndarray:
+        return allocate_fnr(rec.val_fnr, budget, pools)
+
+
+@dataclass(frozen=True)
+class ProportionalRandom(Strategy):
+    """The budget split by the training set's class balance: the no-signal control."""
+
+    name: ClassVar[str] = "proportional_random"
+
+    def request(self, rec: IterationRecord, pools: ClassPools, budget: int) -> np.ndarray:
+        return allocate_proportional(rec.delta, budget, pools)
+
+
+@dataclass(frozen=True)
+class EntropyTopK(Strategy):
+    """Draw ``candidate_count`` candidates by the full train balance, keep ``select_count``."""
+
+    name: ClassVar[str] = "entropy_topk"
+    candidate_count: int
+    select_count: int
+
+    def __post_init__(self) -> None:
+        if self.candidate_count < 1 or self.select_count < 1:
+            raise ConfigurationError("entropy_topk counts must be >= 1")
+        if self.select_count > self.candidate_count:
+            raise ConfigurationError(
+                f"select_count ({self.select_count}) must be <= candidate_count ({self.candidate_count})"
+            )
+
+    def request(self, rec: IterationRecord, pools: ClassPools, budget: int) -> np.ndarray:
+        """Each class's candidate share; the budget plays no part."""
+        return largest_remainder(_full_train_delta(pools), self.candidate_count)
+
+    def acquire(
+        self, model: TrainedModel, pools: ClassPools, requested: np.ndarray, rng: RandomSource
+    ) -> tuple[np.ndarray, list[int], list[int]]:
+        """Keep the top-entropy candidates.
+
+        ``allocation`` counts the kept rows per class. ``shortfall`` is each
+        class's candidate share minus its pool stock before the draw, not a
+        gap in the kept rows.
+        """
+        remaining = np.asarray(pools.remaining_counts(), dtype=np.int64)
+        try:
+            rows = select_entropy_topk(
+                model, pools, _full_train_delta(pools), self.candidate_count, self.select_count, rng
+            )
+        except PoolsExhaustedError:
+            raise PoolsExhaustedError("no entropy candidates available") from None
+        allocation = np.bincount(pools.split.y[rows], minlength=pools.num_classes).tolist()
+        return rows, allocation, np.maximum(requested - remaining, 0).tolist()
+
+    def round_cap(self, budget: int) -> int:
+        return self.select_count
+
+
+_STRATEGIES = {cls.name: cls for cls in (FnrProportional, EntropyTopK, ProportionalRandom, Strategy)}
+
+
+def parse_strategy(name: str, candidate_count: int | None = None, select_count: int | None = None) -> Strategy:
+    """The strategy called ``name``; the candidate sizes belong to ``entropy_topk`` alone."""
+    cls = _STRATEGIES.get(name)
+    if cls is None:
+        raise ConfigurationError(f"unknown strategy {name!r}; expected one of {tuple(_STRATEGIES)}")
+    if cls is EntropyTopK:
+        if candidate_count is None or select_count is None:
+            raise ConfigurationError("entropy_topk requires candidate_count and select_count")
+        return EntropyTopK(candidate_count, select_count)
+    if candidate_count is not None or select_count is not None:
+        raise ConfigurationError(f"candidate/select counts only apply to entropy_topk, not {name!r}")
+    return cls()

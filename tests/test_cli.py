@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolal.cli import main
 from poolal.config import ExperimentConfig
@@ -17,6 +21,7 @@ from poolal.datafiles import (
     write_dataset,
 )
 from poolal.errors import ConfigurationError
+from poolal.learner import LearnerConfig
 
 GEN_SPEC = {
     "num_classes": 3,
@@ -45,6 +50,15 @@ RUN_CFG = {
         "patience": 3,
     },
 }
+
+
+TOP_FIELDS = sorted({f.name for f in fields(ExperimentConfig)} | {"candidate_count", "select_count"})
+LEARNER_FIELDS = sorted(f.name for f in fields(LearnerConfig))
+FIELD_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=2),
+    max_leaves=4,
+)
 
 
 def write_yaml(path: Path, payload: dict) -> Path:
@@ -93,6 +107,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigurationError, match="stopping criterion"):
             ExperimentConfig.from_dict(self.base(max_iterations=None, stop_on_exhaustion=False))
 
+    def test_needs_at_least_one_criterion(self):
+        d = self.base()
+        d.pop("max_iterations")
+        with pytest.raises(ConfigurationError, match="at least one stopping criterion"):
+            ExperimentConfig.from_dict(d)
+
+    def test_iteration_cap_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            ExperimentConfig.from_dict(self.base(max_iterations=0))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown config keys"):
             ExperimentConfig.from_dict(self.base(bogus=1))
@@ -114,6 +138,25 @@ class TestExperimentConfig:
         c = ExperimentConfig.from_dict(self.base(budget=21))
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.sampled_from(["fnr", "entropy", "sl"]),
+        top=st.dictionaries(st.sampled_from(TOP_FIELDS), FIELD_VALUES, max_size=3),
+        learner=st.dictionaries(st.sampled_from(LEARNER_FIELDS), FIELD_VALUES, max_size=2),
+    )
+    def test_mutated_fields_give_a_config_or_a_configuration_error(self, base, top, learner):
+        d = {
+            "fnr": self.base(),
+            "entropy": self.base(strategy="entropy_topk", budget=0, candidate_count=40, select_count=20),
+            "sl": {"dataset": "data", "arm": "sl", "sl_fraction": 0.5, "learner": RUN_CFG["learner"]},
+        }[base]
+        d = dict(d, learner=dict(d["learner"], **learner))
+        d.update(top)
+        try:
+            assert isinstance(ExperimentConfig.from_dict(d), ExperimentConfig)
+        except ConfigurationError:
+            pass
 
 
 class TestGenerateVerb:
@@ -294,6 +337,14 @@ class TestRunVerb:
             ("per_class_initial: 0", "", "per_class_initial"),
             ("budget: '30'", "", "budget"),
             ("max_iterations: two", "", "max_iterations"),
+            ('stop_on_exhaustion: "no"', "", "stop_on_exhaustion"),
+            ("sl_fraction: abc", "", "sl_fraction"),
+            ("sl_fraction: true", "", "sl_fraction"),
+            ('candidate_count: "10"', "", "candidate_count"),
+            ("candidate_count: 10.5", "", "candidate_count"),
+            ("candidate_count: true", "", "candidate_count"),
+            ("seeds: [1.5]", "", "seeds"),
+            pytest.param("", f"learning_rate: {10**400}", "learning_rate", id="learning_rate-beyond-float"),
         ],
     )
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, top, learner_line, field):
@@ -305,7 +356,7 @@ class TestRunVerb:
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert field in err
+        assert f"{field} must be" in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
@@ -408,6 +459,14 @@ class TestReportVerb:
         bad.write_text("{not json")
         assert main(["report", str(bad)]) == 2
 
+    def test_non_object_record_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "rec.json"
+        bad.write_text("[1, 2]")
+        assert main(["report", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{bad}: the file must be a JSON object, not list" in err
+
 
 class TestTrajectoryCsv:
     def test_header_and_row_count(self, run_cfg_file, tmp_path):
@@ -439,3 +498,18 @@ class TestCheckpointFile:
         assert np.array_equal(loaded.params["W"], model.params["W"])
         assert np.array_equal(loaded.params["b"], model.params["b"])
         assert json.loads(path.read_text())["config_hash"] == "abc123"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ("[1]", "the file must be a JSON object, not list"),
+            ('{"schema_version": 1, "params": [1]}', "'params' must be a JSON object, not list"),
+            ('{"schema_version": 1, "params": {}}', "malformed checkpoint"),
+            ("{not json", "not valid JSON"),
+        ],
+    )
+    def test_malformed_checkpoint_rejected(self, tmp_path, payload, message):
+        path = tmp_path / "model.json"
+        path.write_text(payload)
+        with pytest.raises(ConfigurationError, match="^" + re.escape(f"{path}: {message}")):
+            load_model(path)

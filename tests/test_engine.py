@@ -9,7 +9,6 @@ from poolal.core import ClassPools, RandomSource, split_initial
 from poolal.engine import (
     IterationRecord,
     RunRecord,
-    StoppingRule,
     evaluate_model,
     run_active_learning,
     run_one,
@@ -59,16 +58,6 @@ def al_config(**overrides):
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
-
-
-class TestStoppingRule:
-    def test_needs_at_least_one_criterion(self):
-        with pytest.raises(ConfigurationError, match="at least one"):
-            StoppingRule(max_iterations=None, stop_on_exhaustion=False)
-
-    def test_iteration_cap_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            StoppingRule(max_iterations=0)
 
 
 class TestIterStopping:
@@ -200,7 +189,7 @@ class TestFnrCoupling:
             if it.allocation is None or sum(it.val_fnr) == 0:
                 continue
             recomputed = allocate_fnr(it.val_fnr, 30, dummy_pools)
-            assert list(recomputed.counts) == it.allocation
+            assert recomputed.tolist() == it.allocation
             checked += 1
         assert checked >= 1
 
@@ -343,6 +332,10 @@ class TestSweep:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):
             run_sweep(small_bundle(), al_config(), [])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seeds must be >= 0, got -1"):
+            run_sweep(small_bundle(), al_config(), [0, -1])
 
 
 class TestRunRecordRoundTrip:
