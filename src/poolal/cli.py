@@ -22,6 +22,7 @@ import yaml
 
 from .config import ExperimentConfig
 from .datafiles import (
+    decode,
     resolve_dataset,
     save_model,
     save_run_record,
@@ -90,7 +91,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         payload = _load_yaml(args.spec)
         if args.seed is not None:
             payload["seed"] = args.seed
-        spec = GeneratorSpec.from_dict(payload)
+        spec = decode(GeneratorSpec, payload, args.spec)
     bundle = generate(spec)
     dataset_hash = write_dataset(bundle, args.out, generator_spec=spec)
     counts = ", ".join(

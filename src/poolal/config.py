@@ -50,9 +50,17 @@ def _as_int(key: str, value: Any) -> int:
 
 
 def _int_field(raw: dict[str, Any], key: str, default: int | None) -> int | None:
-    """``raw[key]`` if it is an integer (``default`` if absent or null); errors name the key."""
+    """``raw[key]`` if it is an integer up to 2**53 (``default`` if absent or null); errors name the key.
+
+    Above 2**53 a count has no exact float, and ``largest_remainder`` splits
+    budgets and candidate counts by float quotas.
+    """
     value = raw.get(key)
-    return default if value is None else _as_int(key, value)
+    if value is None:
+        return default
+    if _as_int(key, value) > 2**53:
+        raise ConfigurationError(f"{key} must be <= 2**53, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ with full round-trip precision, so generate -> ingest -> re-emit is
 value-identical. The manifest carries class names, feature dimension,
 per-split class counts (checked on load), the generator spec for synthetic
 data, and a digest of the CSV bytes that run records embed and reports compare.
+
+This is the one module that knows a file format. Every JSON file is written by
+:func:`_write_json`; run records and generator specs are read back by
+:func:`decode`, which rebuilds the dataclass from its field annotations and
+refuses a missing or unknown key or a value of the wrong type by name.
 """
 
 from __future__ import annotations
@@ -15,15 +20,19 @@ import csv
 import hashlib
 import json
 from array import array
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .config import canonical_hash
+from .config import _as_int, canonical_hash
 from .core import ClassId, DatasetBundle, Split
 from .engine import RunRecord
 from .errors import ConfigurationError
-from .learner import TrainedModel, model_from_dict, model_to_dict
+from .learner import TrainedModel, is_finite_number
 from .synthgen import PRESETS, GeneratorSpec, generate
 
 __all__ = [
@@ -35,6 +44,7 @@ __all__ = [
     "write_trajectory_csv",
     "save_model",
     "load_model",
+    "decode",
 ]
 
 SPLIT_FILES = (("train", "train.csv"), ("validation", "val.csv"), ("test", "test.csv"))
@@ -68,6 +78,81 @@ def _read_json_object(path: Path | str) -> dict:
     return _json_object(path, payload)
 
 
+def _write_json(path: Path | str, payload: dict) -> None:
+    """Indented, key-sorted JSON with a final newline: equal payloads give equal bytes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+@cache
+def _schema(cls: type) -> tuple[dict[str, Any], frozenset[str]]:
+    """The annotation of each persisted field of ``cls``, and the fields without a default.
+
+    ``RunRecord.terminal_model`` is not persisted: it is saved as a checkpoint.
+    """
+    persisted = [f for f in fields(cls) if f.name != "terminal_model"]
+    hints = get_type_hints(cls)
+    required = frozenset(f.name for f in persisted if f.default is MISSING and f.default_factory is MISSING)
+    return {f.name: hints[f.name] for f in persisted}, required
+
+
+def _at(where: str, key: object) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _decode(tp: Any, value: Any, where: str) -> Any:
+    """``value`` rebuilt as annotation ``tp``; anything else is a ConfigurationError naming ``where``.
+
+    Integers follow the config's no-conversion rule; a float field takes any
+    finite number and stores it as a float.
+    """
+    if tp is float:
+        if not is_finite_number(value):
+            raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+        return float(value)
+    if tp is int:
+        return _as_int(where, value)
+    if tp is str or tp is dict:
+        if not isinstance(value, tp):
+            raise ConfigurationError(f"{where} must be a {'string' if tp is str else 'mapping'}, got {value!r}")
+        return value
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{where or 'the file'} must be a JSON object, not {type(value).__name__}")
+        types, required = _schema(tp)
+        for problem, keys in (("missing", required - value.keys()), ("unknown", value.keys() - types.keys())):
+            if keys:
+                raise ConfigurationError(f"{problem} keys {sorted(_at(where, k) for k in keys)}")
+        return tp(**{k: _decode(types[k], v, _at(where, k)) for k, v in value.items()})
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        if value is None and type(None) in args:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _decode(tp, value, where)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where} must be a list, got {value!r}")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise ConfigurationError(f"{where} must have {len(args)} entries, got {len(value)}")
+            item_types = args
+        else:
+            item_types = args[:1] * len(value)
+        items = [_decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(item_types, value))]
+        return items if origin is list else tuple(items)
+    raise TypeError(f"no decoder for annotation {tp!r}")
+
+
+def decode(cls: type, payload: Any, source: Path | str) -> Any:
+    """``payload`` rebuilt as dataclass ``cls``, field by field; errors name ``source`` and the field."""
+    try:
+        return _decode(cls, payload, "")
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{source}: {e}") from None
+
+
 def _hash_csv_files(out_dir: Path) -> str:
     h = hashlib.sha256()
     for _, fname in SPLIT_FILES:
@@ -91,12 +176,10 @@ def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: Ge
             split_name: bundle.split_counts(getattr(bundle, split_name))
             for split_name, _ in SPLIT_FILES
         },
-        "generator": None if generator_spec is None else generator_spec.to_dict(),
+        "generator": None if generator_spec is None else asdict(generator_spec),
         "dataset_hash": dataset_hash,
     }
-    with (out / "manifest.json").open("w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "manifest.json", manifest)
     return dataset_hash
 
 
@@ -137,7 +220,7 @@ def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, dict]:
         raise ConfigurationError(f"unsupported manifest schema_version {manifest.get('schema_version')!r}")
     try:
         names = list(manifest["classes"])
-        feature_dim = int(manifest["feature_dim"])
+        feature_dim = _as_int(f"{manifest_path}: feature_dim", manifest["feature_dim"])
         manifest_counts = {split_name: manifest["counts"][split_name] for split_name, _ in SPLIT_FILES}
     except KeyError as e:
         raise ConfigurationError(f"{manifest_path}: missing key {e}") from None
@@ -185,25 +268,29 @@ def resolve_dataset(source: str) -> tuple[DatasetBundle, str]:
         if preset is None:
             raise ConfigurationError(f"unknown preset {spec_id!r}; available: {sorted(PRESETS)}")
         spec = preset() if seed is None else preset(seed=seed)
-        return generate(spec), canonical_hash(spec.to_dict())
+        return generate(spec), canonical_hash(asdict(spec))
     return read_dataset(source)[:2]
 
 
 def save_run_record(record: RunRecord, path: str | Path) -> None:
-    """Pretty-printed, key-sorted JSON; byte-identical for identical runs."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        json.dump(record.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    """Every field but the terminal model, as JSON; byte-identical for identical runs."""
+    payload = asdict(replace(record, terminal_model=None))
+    del payload["terminal_model"]
+    _write_json(path, payload)
 
 
 def load_run_record(path: str | Path) -> RunRecord:
+    """A schema v1 run record, checked field by field."""
     payload = _read_json_object(path)
-    try:
-        return RunRecord.from_dict(payload)
-    except (KeyError, TypeError) as e:
-        raise ConfigurationError(f"{path}: malformed run record ({e})") from e
+    if payload.get("schema_version") != 1:
+        raise ConfigurationError(f"{path}: unsupported run record schema_version {payload.get('schema_version')!r}")
+    record = decode(RunRecord, payload, path)
+    per_class, names = record.final_test_metrics.per_class, record.class_names
+    if len(per_class) != len(names):
+        raise ConfigurationError(
+            f"{path}: final_test_metrics.per_class must have one entry per class name ({len(names)}), got {len(per_class)}"
+        )
+    return record
 
 
 def write_trajectory_csv(record: RunRecord, path: str | Path) -> None:
@@ -246,17 +333,36 @@ def write_trajectory_csv(record: RunRecord, path: str | Path) -> None:
 
 
 def save_model(model: TrainedModel, path: str | Path, config_hash: str | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        json.dump(model_to_dict(model, config_hash), f, indent=2, sort_keys=True)
-        f.write("\n")
+    """Checkpoint (schema v1): parameter tensors plus shape metadata; the training log is dropped."""
+    _write_json(
+        path,
+        {
+            "schema_version": 1,
+            "kind": model.kind,
+            "feature_dim": model.feature_dim,
+            "num_classes": model.num_classes,
+            "config_hash": config_hash,
+            "best_epoch": model.best_epoch,
+            "stopped_epoch": model.stopped_epoch,
+            "params": {k: v.tolist() for k, v in model.params.items()},
+        },
+    )
 
 
 def load_model(path: str | Path) -> TrainedModel:
+    """Rebuild a model from a checkpoint; exact float round-trip."""
     payload = _read_json_object(path)
-    _json_object(path, payload.get("params"), "'params'")
+    params = _json_object(path, payload.get("params"), "'params'")
+    if payload.get("schema_version") != 1:
+        raise ConfigurationError(f"{path}: unsupported checkpoint schema_version {payload.get('schema_version')!r}")
     try:
-        return model_from_dict(payload)
+        return TrainedModel(
+            kind=payload["kind"],
+            feature_dim=payload["feature_dim"],
+            num_classes=payload["num_classes"],
+            params={k: np.asarray(v, dtype=float) for k, v in params.items()},
+            stopped_epoch=payload.get("stopped_epoch", 0),
+            best_epoch=payload.get("best_epoch", 0),
+        )
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigurationError(f"{path}: malformed checkpoint ({e})") from e

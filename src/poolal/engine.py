@@ -10,7 +10,7 @@ same immutable dataset bundle.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ from .core import ClassPools, DatasetBundle, RandomSource, Split, TrainingSet, c
 from .errors import ConfigurationError, PoolsExhaustedError, RunError, TrainingError
 from .learner import TrainedModel, predict_batch, train
 from .metrics import MetricsReport, confusion, report
-from .strategy import sample_fraction
+from .strategy import sample_fraction, subset_size
 
 __all__ = [
     "IterationRecord",
@@ -55,29 +55,13 @@ class IterationRecord:
     allocation: list[int] | None = None
     shortfall: list[int] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "val_metrics": self.val_metrics.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IterationRecord":
-        return cls(
-            iteration=d["iteration"],
-            train_counts=list(d["train_counts"]),
-            delta=list(d["delta"]),
-            val_fnr=list(d["val_fnr"]),
-            val_metrics=MetricsReport.from_dict(d["val_metrics"]),
-            learner_stopped_epoch=d["learner_stopped_epoch"],
-            allocation=None if d.get("allocation") is None else list(d["allocation"]),
-            shortfall=list(d.get("shortfall") or []),
-        )
-
 
 @dataclass
 class RunRecord:
     """One complete run: config snapshot, per-iteration trail, final test metrics.
 
     ``terminal_model`` rides along for checkpointing but is not part of the
-    persisted record.
+    persisted record (see :func:`poolal.datafiles.save_run_record`).
     """
 
     config: dict
@@ -94,42 +78,6 @@ class RunRecord:
     stop_reason: str
     schema_version: int = 1
     terminal_model: TrainedModel | None = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "dataset_hash": self.dataset_hash,
-            "seed": self.seed,
-            "arm_label": self.arm_label,
-            "class_names": self.class_names,
-            "iterations": [r.to_dict() for r in self.iterations],
-            "final_test_metrics": self.final_test_metrics.to_dict(),
-            "total_labeled": self.total_labeled,
-            "labeled_fraction_of_train": self.labeled_fraction_of_train,
-            "append_count": self.append_count,
-            "stop_reason": self.stop_reason,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        if d.get("schema_version") != 1:
-            raise ConfigurationError(f"unsupported run record schema_version {d.get('schema_version')!r}")
-        return cls(
-            config=d["config"],
-            config_hash=d["config_hash"],
-            dataset_hash=d["dataset_hash"],
-            seed=d["seed"],
-            arm_label=d["arm_label"],
-            class_names=list(d["class_names"]),
-            iterations=[IterationRecord.from_dict(r) for r in d["iterations"]],
-            final_test_metrics=MetricsReport.from_dict(d["final_test_metrics"]),
-            total_labeled=d["total_labeled"],
-            labeled_fraction_of_train=d["labeled_fraction_of_train"],
-            append_count=d["append_count"],
-            stop_reason=d["stop_reason"],
-        )
 
 
 def evaluate_model(model: TrainedModel, split: Split, num_classes: int) -> MetricsReport:
@@ -314,6 +262,10 @@ def run_sweep(
         raise ConfigurationError("run_sweep needs at least one seed")
     if min(seeds) < 0:
         raise ConfigurationError(f"seeds must be >= 0, got {min(seeds)}")
+    if config.arm == "sl" and subset_size(len(bundle.train), config.sl_fraction) == 0:
+        raise ConfigurationError(
+            f"sl_fraction must select at least one of the {len(bundle.train)} train rows, got {config.sl_fraction!r}"
+        )
     tasks = [(bundle, config, int(s), dataset_hash) for s in seeds]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

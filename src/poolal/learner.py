@@ -14,7 +14,7 @@ a fixed :class:`~poolal.core.RandomSource`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class LearnerConfig:
                 raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if not isinstance(self.warm_start, bool):
             raise ConfigurationError(f"warm_start must be true or false, got {self.warm_start!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -342,32 +339,3 @@ def gradient_check(
             rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
             max_rel = max(max_rel, rel)
     return max_rel
-
-
-def model_to_dict(model: TrainedModel, config_hash: str | None = None) -> dict:
-    """Checkpoint payload: parameter tensors plus shape metadata (schema v1)."""
-    return {
-        "schema_version": 1,
-        "kind": model.kind,
-        "feature_dim": model.feature_dim,
-        "num_classes": model.num_classes,
-        "config_hash": config_hash,
-        "best_epoch": model.best_epoch,
-        "stopped_epoch": model.stopped_epoch,
-        "params": {k: v.tolist() for k, v in model.params.items()},
-    }
-
-
-def model_from_dict(d: dict) -> TrainedModel:
-    """Rebuild a model from a checkpoint payload; exact float round-trip."""
-    if d.get("schema_version") != 1:
-        raise ConfigurationError(f"unsupported checkpoint schema_version {d.get('schema_version')!r}")
-    return TrainedModel(
-        kind=d["kind"],
-        feature_dim=d["feature_dim"],
-        num_classes=d["num_classes"],
-        params={k: np.asarray(v, dtype=float) for k, v in d["params"].items()},
-        training_log=[],
-        stopped_epoch=d.get("stopped_epoch", 0),
-        best_epoch=d.get("best_epoch", 0),
-    )

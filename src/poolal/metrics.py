@@ -10,7 +10,7 @@ formatting is the reporting layer's job.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,18 +56,6 @@ class MetricsReport:
 
     def f1_vector(self) -> np.ndarray:
         return np.array([m.f1 for m in self.per_class])
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "per_class": [asdict(m) for m in self.per_class]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(
-            per_class=tuple(ClassMetrics(**m) for m in d["per_class"]),
-            micro_f1=d["micro_f1"],
-            macro_f1=d["macro_f1"],
-            accuracy=d["accuracy"],
-        )
 
 
 def confusion(

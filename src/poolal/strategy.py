@@ -51,6 +51,7 @@ __all__ = [
     "row_entropies",
     "select_entropy_topk",
     "sample_fraction",
+    "subset_size",
 ]
 
 
@@ -204,10 +205,15 @@ def select_entropy_topk(
     return candidates[chosen]
 
 
+def subset_size(n: int, fraction: float) -> int:
+    """Rows a ``fraction`` of ``n`` rows keeps: ``n * fraction`` rounded half up."""
+    return int(np.floor(n * fraction + 0.5))
+
+
 def sample_fraction(train: Split, fraction: float, rng: RandomSource) -> np.ndarray:
     """Stratified subsample preserving the natural class distribution.
 
-    Returns ``round(len(train) * fraction)`` row indices in total, split
+    Returns :func:`subset_size` row indices in total, split
     across classes by largest-remainder on the class counts, each class
     sampled uniformly without replacement.
     """
@@ -219,8 +225,7 @@ def sample_fraction(train: Split, fraction: float, rng: RandomSource) -> np.ndar
         return np.arange(len(train))
 
     counts = np.bincount(train.y)
-    total_target = int(np.floor(len(train) * fraction + 0.5))
-    targets = largest_remainder(counts, total_target)
+    targets = largest_remainder(counts, subset_size(len(train), fraction))
 
     gen = rng.generator()
     out = []

@@ -28,7 +28,8 @@ class GeneratorSpec:
 
     ``class_means`` may be given explicitly (one row per class) or left None,
     in which case class i's mean is ``auto_scale * e_i`` (the i-th scaled
-    one-hot corner, requires feature_dim >= num_classes).
+    one-hot corner, requires feature_dim >= num_classes). ``class_names``
+    left empty become ``class_0``, ``class_1``, ...
     """
 
     num_classes: int
@@ -48,6 +49,10 @@ class GeneratorSpec:
             raise ConfigurationError(f"need at least 2 classes, got {self.num_classes}")
         if self.feature_dim < 1:
             raise ConfigurationError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if not self.class_names:
+            object.__setattr__(self, "class_names", tuple(f"class_{i}" for i in range(self.num_classes)))
         for name, counts in (
             ("per_class_train_counts", self.per_class_train_counts),
             ("per_class_val_counts", self.per_class_val_counts),
@@ -61,7 +66,7 @@ class GeneratorSpec:
             raise ConfigurationError(f"class_sigmas must have {self.num_classes} entries")
         if any(s <= 0 for s in self.class_sigmas):
             raise ConfigurationError("class_sigmas must be > 0")
-        if self.class_names and len(self.class_names) != self.num_classes:
+        if len(self.class_names) != self.num_classes:
             raise ConfigurationError(f"class_names must have {self.num_classes} entries")
         if self.class_means is not None:
             if len(self.class_means) != self.num_classes or any(
@@ -87,11 +92,6 @@ class GeneratorSpec:
         if any(t > 1 + 1e-12 for t in overlap_total):
             raise ConfigurationError("overlap weights for a class must sum to <= 1")
 
-    def resolved_names(self) -> tuple[str, ...]:
-        if self.class_names:
-            return self.class_names
-        return tuple(f"class_{i}" for i in range(self.num_classes))
-
     def resolved_means(self) -> np.ndarray:
         if self.class_means is not None:
             return np.asarray(self.class_means, dtype=float)
@@ -99,41 +99,6 @@ class GeneratorSpec:
         for i in range(self.num_classes):
             means[i, i] = self.auto_scale
         return means
-
-    def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "feature_dim": self.feature_dim,
-            "per_class_train_counts": list(self.per_class_train_counts),
-            "per_class_val_counts": list(self.per_class_val_counts),
-            "per_class_test_counts": list(self.per_class_test_counts),
-            "class_sigmas": [float(s) for s in self.class_sigmas],
-            "seed": self.seed,
-            "class_names": list(self.resolved_names()),
-            "class_means": None
-            if self.class_means is None
-            else [[float(v) for v in row] for row in self.class_means],
-            "auto_scale": float(self.auto_scale),
-            "overlap_pairs": [[a, b, float(w)] for a, b, w in self.overlap_pairs],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorSpec":
-        return cls(
-            num_classes=d["num_classes"],
-            feature_dim=d["feature_dim"],
-            per_class_train_counts=tuple(d["per_class_train_counts"]),
-            per_class_val_counts=tuple(d["per_class_val_counts"]),
-            per_class_test_counts=tuple(d["per_class_test_counts"]),
-            class_sigmas=tuple(d["class_sigmas"]),
-            seed=d["seed"],
-            class_names=tuple(d.get("class_names") or ()),
-            class_means=None
-            if d.get("class_means") is None
-            else tuple(tuple(row) for row in d["class_means"]),
-            auto_scale=d.get("auto_scale", 3.0),
-            overlap_pairs=tuple((a, b, w) for a, b, w in d.get("overlap_pairs", [])),
-        )
 
 
 def _component_counts(spec: GeneratorSpec, class_index: int, n: int) -> list[tuple[int, int]]:
@@ -167,7 +132,7 @@ def _generate_split(
 def generate(spec: GeneratorSpec) -> DatasetBundle:
     """Materialize the three splits described by ``spec``; pure in (spec, seed)."""
     means = spec.resolved_means()
-    names = spec.resolved_names()
+    names = spec.class_names
     gen = np.random.default_rng(np.random.SeedSequence(spec.seed))
     classes = [ClassId(index=i, name=names[i]) for i in range(spec.num_classes)]
     train = _generate_split(spec, "train", spec.per_class_train_counts, means, gen)

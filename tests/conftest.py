@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,13 @@ def make_split(labels, prefix="s", feature_dim=2, rng=None):
     return Split(
         gen.standard_normal((len(labels), feature_dim)), labels, [f"{prefix}{i}" for i in range(len(labels))]
     )
+
+
+def record_payload(record):
+    """A run record as its file holds it: ``asdict`` of every field but the terminal model."""
+    payload = asdict(replace(record, terminal_model=None))
+    del payload["terminal_model"]
+    return payload
 
 
 def pools_of(split, num_classes):

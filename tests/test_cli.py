@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import re
 from dataclasses import fields
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poolal.cli import main
@@ -18,6 +19,7 @@ from poolal.datafiles import (
     load_run_record,
     read_dataset,
     save_model,
+    save_run_record,
     write_dataset,
 )
 from poolal.errors import ConfigurationError
@@ -59,6 +61,38 @@ FIELD_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=2),
     max_leaves=4,
 )
+
+
+def _slots(tree):
+    """Every (container, key) pair below the root of a JSON tree."""
+    keys = tree.keys() if isinstance(tree, dict) else range(len(tree)) if isinstance(tree, list) else ()
+    for key in list(keys):
+        yield tree, key
+        yield from _slots(tree[key])
+
+
+def mutate(data, tree: dict) -> None:
+    """Drop a key, add a key, or give a value another type, somewhere in ``tree``."""
+    op = data.draw(st.sampled_from(["drop", "add", "swap"]))
+    slots = list(_slots(tree))
+    if op == "add":
+        node = data.draw(st.sampled_from([tree] + [c[k] for c, k in slots if isinstance(c[k], dict)]))
+        node[data.draw(st.text(max_size=6))] = data.draw(FIELD_VALUES)
+    elif op == "drop":
+        container, key = data.draw(st.sampled_from([(c, k) for c, k in slots if isinstance(c, dict)]))
+        del container[key]
+    else:
+        container, key = data.draw(st.sampled_from(slots))
+        container[key] = data.draw(FIELD_VALUES.filter(lambda v: type(v) is not type(container[key])))
+
+
+def assert_exit_0_or_one_error_line(capsys, argv: list[str]) -> None:
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def write_yaml(path: Path, payload: dict) -> Path:
@@ -189,6 +223,44 @@ class TestGenerateVerb:
         main(["generate", "--spec", str(spec_file), "--seed", "99", "--out", str(out2)])
         assert (out1 / "train.csv").read_bytes() != (out2 / "train.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("seed"), "missing keys ['seed']"),
+            (lambda d: d.update(bogus=1), "unknown keys ['bogus']"),
+            (lambda d: d.update(class_sigmas=["a", 1, 1]), "class_sigmas[0] must be a finite number, got 'a'"),
+            (lambda d: d.update(per_class_train_counts=[5.5, 5, 5]), "per_class_train_counts[0] must be an integer"),
+            (lambda d: d.update(overlap_pairs=[[2, 1]]), "overlap_pairs[0] must have 3 entries, got 2"),
+            (lambda d: d.update(seed=-1), "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_malformed_spec_exits_2_naming_the_field(self, tmp_path, capsys, edit, message):
+        spec = copy.deepcopy(GEN_SPEC)
+        edit(spec)
+        spec_file = write_yaml(tmp_path / "g.yaml", spec)
+        assert main(["generate", "--spec", str(spec_file), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{spec_file}: {message}" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("source", ["--preset", "--spec"])
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, source):
+        spec = ["paper-shape"] if source == "--preset" else [str(write_yaml(tmp_path / "g.yaml", GEN_SPEC))]
+        assert main(["generate", source, *spec, "--seed", "-1", "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "seed must be >= 0, got -1" in err
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_spec_exits_0_or_2(self, tmp_path, capsys, data):
+        spec = copy.deepcopy(GEN_SPEC)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate(data, spec)
+        spec_file = write_yaml(tmp_path / "g.yaml", spec)
+        assert_exit_0_or_one_error_line(capsys, ["generate", "--spec", str(spec_file), "--out", str(tmp_path / "d")])
+
     def test_unwritable_out_path_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -259,6 +331,10 @@ class TestIngestFaults:
     def test_manifest_without_classes(self, run_cfg_file, dataset_dir, capsys):
         _edit_manifest(dataset_dir, lambda m: m.pop("classes"))
         self._run_fails(run_cfg_file, capsys, "missing key 'classes'")
+
+    def test_manifest_feature_dim_must_be_an_integer(self, run_cfg_file, dataset_dir, capsys):
+        _edit_manifest(dataset_dir, lambda m: m.update(feature_dim=4.7))
+        self._run_fails(run_cfg_file, capsys, "manifest.json: feature_dim must be an integer, got 4.7")
 
     def test_manifest_counts_must_match_the_csv(self, run_cfg_file, dataset_dir, capsys):
         def shift_one(manifest):
@@ -345,6 +421,8 @@ class TestRunVerb:
             ("candidate_count: true", "", "candidate_count"),
             ("seeds: [1.5]", "", "seeds"),
             pytest.param("", f"learning_rate: {10**400}", "learning_rate", id="learning_rate-beyond-float"),
+            pytest.param(f"budget: {10**29}", "", "budget", id="budget-beyond-2**53"),
+            pytest.param(f"candidate_count: {10**23}", "", "candidate_count", id="candidate_count-beyond-2**53"),
         ],
     )
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, top, learner_line, field):
@@ -374,6 +452,23 @@ class TestRunVerb:
         )
         path = write_yaml(tmp_path / "cfg.yaml", cfg)
         assert main(["run", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (dict(RUN_CFG, dataset="preset:paper-shape@-1"), "seed must be >= 0, got -1"),
+            (
+                {"dataset": "preset:paper-shape", "arm": "sl", "sl_fraction": 0.00001, "seeds": [0, 1]},
+                "sl_fraction must select at least one of the 34603 train rows, got 1e-05",
+            ),
+        ],
+    )
+    def test_dataset_dependent_config_error_exits_2(self, tmp_path, capsys, cfg, message):
+        path = write_yaml(tmp_path / "cfg.yaml", dict(cfg, output_dir=str(tmp_path / "o")))
+        assert main(["run", "--config", str(path)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: {message}"]
+        assert not list((tmp_path / "o").glob("run-*.json"))
 
     def test_both_seed_flags_rejected(self, run_cfg_file, capsys):
         assert main(["run", "--config", str(run_cfg_file), "--seed", "1", "--seeds", "1,2"]) == 2
@@ -466,6 +561,62 @@ class TestReportVerb:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{bad}: the file must be a JSON object, not list" in err
+
+
+@pytest.fixture(scope="module")
+def record_text(tmp_path_factory):
+    """The text of one real run record: seed 0 of RUN_CFG on the GEN_SPEC dataset."""
+    tmp = tmp_path_factory.mktemp("record")
+    spec_file = write_yaml(tmp / "genspec.yaml", GEN_SPEC)
+    assert main(["generate", "--spec", str(spec_file), "--out", str(tmp / "data")]) == 0
+    cfg = write_yaml(tmp / "cfg.yaml", dict(RUN_CFG, dataset=str(tmp / "data"), output_dir=str(tmp / "out")))
+    assert main(["run", "--config", str(cfg), "--seed", "0"]) == 0
+    return next((tmp / "out").glob("run-*.json")).read_text()
+
+
+class TestRecordFields:
+    """``report`` checks a run record field by field; a bad one exits 2 naming the field."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["final_test_metrics"].update(macro_f1="abc"), "final_test_metrics.macro_f1 must be a finite number"),
+            (lambda d: d.update(config_hash=["x"]), "config_hash must be a string, got ['x']"),
+            (lambda d: d.update(seed="zero"), "seed must be an integer, got 'zero'"),
+            (lambda d: d["iterations"][1].pop("delta"), "missing keys ['iterations[1].delta']"),
+            (lambda d: d.update(bogus=1), "unknown keys ['bogus']"),
+            (lambda d: d.update(schema_version=2), "unsupported run record schema_version 2"),
+            (
+                lambda d: d["final_test_metrics"]["per_class"].pop(),
+                "final_test_metrics.per_class must have one entry per class name (3), got 2",
+            ),
+        ],
+    )
+    def test_malformed_record_exits_2_naming_the_field(self, tmp_path, capsys, record_text, edit, message):
+        payload = json.loads(record_text)
+        edit(payload)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path}: {message}" in err
+
+    def test_record_file_round_trips_to_the_byte(self, tmp_path, record_text):
+        path = tmp_path / "run.json"
+        path.write_text(record_text)
+        save_run_record(load_run_record(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == record_text
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_record_exits_0_or_2(self, tmp_path, capsys, record_text, data):
+        payload = json.loads(record_text)
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate(data, payload)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        assert_exit_0_or_one_error_line(capsys, ["report", str(path)])
 
 
 class TestTrajectoryCsv:

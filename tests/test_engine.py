@@ -3,9 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import make_split
+from dataclasses import asdict
+
+from conftest import make_split, record_payload
 from poolal.config import ExperimentConfig
 from poolal.core import ClassPools, RandomSource, split_initial
+from poolal.datafiles import decode
 from poolal.engine import (
     IterationRecord,
     RunRecord,
@@ -243,14 +246,14 @@ class TestDeterminism:
         cfg = al_config()
         r1 = run_active_learning(bundle, cfg, seed=7, dataset_hash="h")
         r2 = run_active_learning(bundle, cfg, seed=7, dataset_hash="h")
-        assert r1.to_dict() == r2.to_dict()
+        assert record_payload(r1) == record_payload(r2)
 
     def test_different_seeds_differ(self):
         bundle = small_bundle()
         cfg = al_config()
         r1 = run_active_learning(bundle, cfg, seed=0)
         r2 = run_active_learning(bundle, cfg, seed=1)
-        assert r1.to_dict() != r2.to_dict()
+        assert record_payload(r1) != record_payload(r2)
 
     def test_warm_start_runs(self):
         bundle = small_bundle()
@@ -319,7 +322,7 @@ class TestSweep:
         cfg = al_config()
         seq = run_sweep(bundle, cfg, [0, 1], dataset_hash="h", jobs=1)
         par = run_sweep(bundle, cfg, [0, 1], dataset_hash="h", jobs=2)
-        assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+        assert [record_payload(r) for r in seq] == [record_payload(r) for r in par]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failing_seed_identified(self):
@@ -341,13 +344,13 @@ class TestSweep:
 class TestRunRecordRoundTrip:
     def test_dict_round_trip(self):
         record = run_one(small_bundle(), al_config(), seed=0, dataset_hash="abc")
-        clone = RunRecord.from_dict(record.to_dict())
-        assert clone.to_dict() == record.to_dict()
+        clone = decode(RunRecord, record_payload(record), "record")
+        assert record_payload(clone) == record_payload(record)
 
     def test_iteration_record_round_trip(self):
         record = run_one(small_bundle(), al_config(), seed=0)
         it = record.iterations[0]
-        assert IterationRecord.from_dict(it.to_dict()).to_dict() == it.to_dict()
+        assert asdict(decode(IterationRecord, asdict(it), "iteration")) == asdict(it)
 
 
 class TestEvaluateModel:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ class TestLearnerConfig:
 
     def test_values_kept_as_given(self):
         cfg = LearnerConfig(learning_rate=0, init_scale=1)
-        assert cfg.to_dict()["learning_rate"] == 0 and type(cfg.learning_rate) is int
+        assert asdict(cfg)["learning_rate"] == 0 and type(cfg.learning_rate) is int
         assert type(cfg.init_scale) is int
 
 

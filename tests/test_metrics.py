@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,7 @@ class TestReport:
 
     def test_round_trip_dict(self):
         rep = report(confusion([0, 1, 1], [0, 0, 1], 2))
+        from poolal.datafiles import decode
         from poolal.metrics import MetricsReport
 
-        assert MetricsReport.from_dict(rep.to_dict()) == rep
+        assert decode(MetricsReport, asdict(rep), "report") == rep

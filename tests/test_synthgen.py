@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from oracles import nearest_mean_predictions
+from poolal.datafiles import decode
 from poolal.errors import ConfigurationError
 from poolal.synthgen import GeneratorSpec, generate, tissue_benchmark_preset
 
@@ -146,8 +149,8 @@ class TestSpecValidation:
 
     def test_dict_round_trip(self):
         spec = spec_3class(overlap_pairs=((2, 1, 0.25),))
-        clone = GeneratorSpec.from_dict(spec.to_dict())
-        assert clone.to_dict() == spec.to_dict()
+        clone = decode(GeneratorSpec, asdict(spec), "spec")
+        assert asdict(clone) == asdict(spec)
         assert np.array_equal(
             generate(clone).train.X,
             generate(spec).train.X,
