@@ -32,7 +32,7 @@ from .config import _as_int, canonical_hash
 from .core import ClassId, DatasetBundle, Split
 from .engine import RunRecord
 from .errors import ConfigurationError
-from .learner import TrainedModel, is_finite_number
+from .learner import KINDS, TrainedModel, is_finite_number
 from .synthgen import PRESETS, GeneratorSpec, generate
 
 __all__ = [
@@ -219,7 +219,7 @@ def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, dict]:
     if manifest.get("schema_version") != 1:
         raise ConfigurationError(f"unsupported manifest schema_version {manifest.get('schema_version')!r}")
     try:
-        names = list(manifest["classes"])
+        names = _decode(list[str], manifest["classes"], f"{manifest_path}: classes")
         feature_dim = _as_int(f"{manifest_path}: feature_dim", manifest["feature_dim"])
         manifest_counts = {split_name: manifest["counts"][split_name] for split_name, _ in SPLIT_FILES}
     except KeyError as e:
@@ -356,13 +356,15 @@ def load_model(path: str | Path) -> TrainedModel:
     if payload.get("schema_version") != 1:
         raise ConfigurationError(f"{path}: unsupported checkpoint schema_version {payload.get('schema_version')!r}")
     try:
+        if payload["kind"] not in KINDS:
+            raise ConfigurationError(f"kind must be one of {KINDS}, got {payload['kind']!r}")
         return TrainedModel(
             kind=payload["kind"],
-            feature_dim=payload["feature_dim"],
-            num_classes=payload["num_classes"],
+            feature_dim=_as_int("feature_dim", payload["feature_dim"]),
+            num_classes=_as_int("num_classes", payload["num_classes"]),
             params={k: np.asarray(v, dtype=float) for k, v in params.items()},
-            stopped_epoch=payload.get("stopped_epoch", 0),
-            best_epoch=payload.get("best_epoch", 0),
+            stopped_epoch=_as_int("stopped_epoch", payload.get("stopped_epoch", 0)),
+            best_epoch=_as_int("best_epoch", payload.get("best_epoch", 0)),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ConfigurationError) as e:
         raise ConfigurationError(f"{path}: malformed checkpoint ({e})") from e

@@ -3,9 +3,9 @@
 Two native learners share one parameter/gradient layer: a softmax-linear
 model and a one-hidden-layer tanh MLP, both trained with mini-batch SGD on
 mean cross-entropy and patience-based early stopping. An SGD step is
-gradient-only; the loss is computed once per epoch, on the training and
-validation sets. :func:`gradient_check` verifies the step's analytic
-gradients against central finite differences.
+gradient-only; the loss is computed once per epoch, on the validation set
+alone, for early stopping. :func:`gradient_check` verifies the step's
+analytic gradients against central finite differences.
 
 All math is float64; training is single-threaded and bit-reproducible for
 a fixed :class:`~poolal.core.RandomSource`.
@@ -31,7 +31,6 @@ __all__ = [
     "predict",
     "predict_batch",
     "gradient_check",
-    "loss_and_gradient",
     "samples_to_arrays",
 ]
 
@@ -84,16 +83,16 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class EpochStats:
-    train_loss: float
     val_loss: float
 
 
 @dataclass
 class TrainedModel:
-    """Parameters plus the training trace that produced them.
+    """Parameters plus the validation trace that produced them.
 
     ``params`` holds the best-validation-loss epoch's parameters, not the
-    last epoch's. Immutable by convention after ``train`` returns.
+    last epoch's; ``training_log`` holds every epoch's validation loss.
+    Immutable by convention after ``train`` returns.
     """
 
     kind: str
@@ -174,11 +173,6 @@ def _gradients(kind: str, params: dict[str, np.ndarray], X: np.ndarray, y: np.nd
     return {"W1": X.T @ gh, "b1": gh.sum(axis=0), "W2": h.T @ g, "b2": g.sum(axis=0)}
 
 
-def loss_and_gradient(kind: str, params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over (X, y) and its gradient w.r.t. every parameter."""
-    return _mean_cross_entropy(kind, params, X, y), _gradients(kind, params, X, y)
-
-
 def _check_initial(initial: TrainedModel, config: LearnerConfig, feature_dim: int, num_classes: int) -> None:
     if initial.kind != config.kind:
         raise ConfigurationError(f"warm-start model kind {initial.kind!r} does not match config {config.kind!r}")
@@ -242,11 +236,10 @@ def train(
             for k in params:
                 params[k] -= lr * grads[k]
 
-        train_loss = _mean_cross_entropy(kind, params, X, y)
         val_loss = _mean_cross_entropy(kind, params, Xv, yv)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+        if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite loss at epoch {epoch} (training diverged)")
-        log.append(EpochStats(train_loss=train_loss, val_loss=val_loss))
+        log.append(EpochStats(val_loss=val_loss))
 
         if val_loss < best_val:
             best_val = val_loss

@@ -55,6 +55,39 @@ def nearest_mean_predictions(X: np.ndarray, means: np.ndarray) -> np.ndarray:
     return dists.argmin(axis=1)
 
 
+def _logits(kind, params, A):
+    if kind == "softmax_linear":
+        return A @ params["W"] + params["b"], None
+    h = np.tanh(A @ params["W1"] + params["b1"])
+    return h @ params["W2"] + params["b2"], h
+
+
+def mean_loss(kind, params, A, labels):
+    """Mean cross-entropy over (A, labels), by a log-sum-exp per row."""
+    z, _ = _logits(kind, params, A)
+    zmax = z.max(axis=1)
+    lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+    return float(np.mean(lse - z[np.arange(len(labels)), labels]))
+
+
+def loss_and_gradient(kind, params, A, labels):
+    """Mean cross-entropy over (A, labels) and its gradient w.r.t. every parameter."""
+    n = A.shape[0]
+    z, h = _logits(kind, params, A)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    g = p.copy()
+    g[np.arange(n), labels] -= 1.0
+    g /= n
+    if kind == "softmax_linear":
+        grads = {"W": A.T @ g, "b": g.sum(axis=0)}
+    else:
+        gh = (g @ params["W2"].T) * (1.0 - h * h)
+        grads = {"W1": A.T @ gh, "b1": gh.sum(axis=0), "W2": h.T @ g, "b2": g.sum(axis=0)}
+    return mean_loss(kind, params, A, labels), grads
+
+
 def reference_sgd(kind, X, y, Xv, yv, gen, *, learning_rate, batch_size, max_epochs, patience,
                   num_classes, hidden_units=0, init_scale=0.0, initial=None):
     """The learner's mini-batch SGD as first written: a full loss-and-gradient on every step.
@@ -64,38 +97,9 @@ def reference_sgd(kind, X, y, Xv, yv, gen, *, learning_rate, batch_size, max_epo
     are given, then one permutation per epoch. Early stopping keeps the
     parameters of the first strictly best validation loss and stops after
     ``patience`` epochs without a strict improvement. Returns ``(params,
-    log, best_epoch, stopped_epoch)`` where ``log`` lists (train_loss,
-    val_loss) per epoch.
+    log, best_epoch, stopped_epoch)`` where ``log`` lists the validation loss
+    of each epoch.
     """
-
-    def logits(params, A):
-        if kind == "softmax_linear":
-            return A @ params["W"] + params["b"], None
-        h = np.tanh(A @ params["W1"] + params["b1"])
-        return h @ params["W2"] + params["b2"], h
-
-    def mean_loss(params, A, labels):
-        z, _ = logits(params, A)
-        zmax = z.max(axis=1)
-        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-        return float(np.mean(lse - z[np.arange(len(labels)), labels]))
-
-    def loss_and_gradient(params, A, labels):
-        n = A.shape[0]
-        z, h = logits(params, A)
-        shifted = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=-1, keepdims=True)
-        g = p.copy()
-        g[np.arange(n), labels] -= 1.0
-        g /= n
-        if kind == "softmax_linear":
-            grads = {"W": A.T @ g, "b": g.sum(axis=0)}
-        else:
-            gh = (g @ params["W2"].T) * (1.0 - h * h)
-            grads = {"W1": A.T @ gh, "b1": gh.sum(axis=0), "W2": h.T @ g, "b2": g.sum(axis=0)}
-        return mean_loss(params, A, labels), grads
-
     d = X.shape[1]
     if initial is not None:
         params = {k: v.copy() for k, v in initial.items()}
@@ -116,11 +120,11 @@ def reference_sgd(kind, X, y, Xv, yv, gen, *, learning_rate, batch_size, max_epo
         order = gen.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            _, grads = loss_and_gradient(params, X[idx], y[idx])
+            _, grads = loss_and_gradient(kind, params, X[idx], y[idx])
             for k in params:
                 params[k] -= learning_rate * grads[k]
-        val_loss = mean_loss(params, Xv, yv)
-        log.append((mean_loss(params, X, y), val_loss))
+        val_loss = mean_loss(kind, params, Xv, yv)
+        log.append(val_loss)
         if val_loss < best_val:
             best_val, best_params, best_epoch, bad_epochs = val_loss, {k: v.copy() for k, v in params.items()}, epoch, 0
         else:

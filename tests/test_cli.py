@@ -332,6 +332,10 @@ class TestIngestFaults:
         _edit_manifest(dataset_dir, lambda m: m.pop("classes"))
         self._run_fails(run_cfg_file, capsys, "missing key 'classes'")
 
+    def test_manifest_classes_must_be_a_list(self, run_cfg_file, dataset_dir, capsys):
+        _edit_manifest(dataset_dir, lambda m: m.update(classes="".join(m["classes"])))
+        self._run_fails(run_cfg_file, capsys, "manifest.json: classes must be a list, got '")
+
     def test_manifest_feature_dim_must_be_an_integer(self, run_cfg_file, dataset_dir, capsys):
         _edit_manifest(dataset_dir, lambda m: m.update(feature_dim=4.7))
         self._run_fails(run_cfg_file, capsys, "manifest.json: feature_dim must be an integer, got 4.7")
@@ -663,4 +667,26 @@ class TestCheckpointFile:
         path = tmp_path / "model.json"
         path.write_text(payload)
         with pytest.raises(ConfigurationError, match="^" + re.escape(f"{path}: {message}")):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("feature_dim", "x"),
+            ("num_classes", [2]),
+            ("best_epoch", 1.5),
+            ("stopped_epoch", True),
+            ("kind", 3),
+            ("kind", "cnn"),
+        ],
+    )
+    def test_mistyped_checkpoint_field_rejected(self, tmp_path, field, value):
+        from poolal.learner import TrainedModel
+
+        path = tmp_path / "model.json"
+        save_model(TrainedModel("softmax_linear", 1, 2, {"W": np.zeros((1, 2)), "b": np.zeros(2)}), path)
+        checkpoint = json.loads(path.read_text())
+        checkpoint[field] = value
+        path.write_text(json.dumps(checkpoint))
+        with pytest.raises(ConfigurationError, match="^" + re.escape(f"{path}: malformed checkpoint ({field} ")):
             load_model(path)

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import make_split
-from oracles import reference_sgd
+from oracles import loss_and_gradient, reference_sgd
+from poolal import learner
 from poolal.core import RandomSource, Split, TrainingSet
 from poolal.errors import ConfigurationError, TrainingError
 from poolal.learner import (
     LearnerConfig,
     TrainedModel,
     gradient_check,
-    loss_and_gradient,
     predict,
     predict_batch,
     predict_proba,
@@ -211,6 +211,38 @@ class TestTrain:
         with pytest.raises(TrainingError, match="epoch"):
             train(cfg, ts, Split(samples.X[:2], samples.y[:2], samples.ids[:2]), RandomSource(0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_mlp_divergence_names_the_epoch(self):
+        # The validation loss is the only loss train computes; it must still catch divergence.
+        gen = np.random.default_rng(0)
+        features = [gen.standard_normal(2) * 1e200 for _ in range(8)]
+        samples = Split(features, [i % 2 for i in range(8)], [f"d{i}" for i in range(8)])
+        ts = every_row(samples)
+        cfg = LearnerConfig(kind="mlp", hidden_units=4, learning_rate=1e308, max_epochs=10, init_scale=1e200)
+        with pytest.raises(TrainingError, match=r"non-finite loss at epoch 1 \(training diverged\)"):
+            train(cfg, ts, Split(samples.X[:2], samples.y[:2], samples.ids[:2]), RandomSource(0))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "softmax_linear", "learning_rate": 2.0, "max_epochs": 40, "patience": 2},
+            {"kind": "mlp", "hidden_units": 6, "learning_rate": 0.1, "max_epochs": 7, "patience": 7},
+        ],
+    )
+    def test_loss_computed_once_per_epoch_on_validation_only(self, kwargs, monkeypatch):
+        calls, mean_cross_entropy = [], learner._mean_cross_entropy
+
+        def counting(kind, params, X, y):
+            calls.append((X, y))
+            return mean_cross_entropy(kind, params, X, y)
+
+        monkeypatch.setattr(learner, "_mean_cross_entropy", counting)
+        val = noisy_blobs(60, seed=2)
+        cfg = LearnerConfig(batch_size=16, **kwargs)
+        model = train(cfg, every_row(noisy_blobs(101, seed=1), 3), val, RandomSource(7))
+        assert len(calls) == model.stopped_epoch == len(model.training_log)
+        assert all(X is val.X and y is val.y for X, y in calls)
+
     def test_mlp_learns_blobs(self):
         samples = blob_samples(40)
         ts = every_row(samples)
@@ -238,9 +270,10 @@ class TestGradients:
         X = np.array([[1.0, 0.0]])
         y = np.array([0])
         params = {"W": np.array([[40.0, 0.0], [0.0, 0.0]]), "b": np.zeros(2)}
-        _, grads = loss_and_gradient("softmax_linear", params, X, y)
-        norm = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
-        assert norm < 1e-9
+        oracle_grads = loss_and_gradient("softmax_linear", params, X, y)[1]
+        for grads in (oracle_grads, learner._gradients("softmax_linear", params, X, y)):
+            norm = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
+            assert norm < 1e-9
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigurationError, match="non-empty"):
@@ -283,7 +316,7 @@ class TestTrainMatchesReference:
         assert len(train_split) % cfg.batch_size != 0
         assert (stopped_epoch < cfg.max_epochs) == early_stop
         assert (model.best_epoch, model.stopped_epoch) == (best_epoch, stopped_epoch)
-        assert [(e.train_loss, e.val_loss) for e in model.training_log] == log
+        assert [e.val_loss for e in model.training_log] == log
         assert sorted(model.params) == sorted(params)
         for k in params:
             assert model.params[k].tobytes() == params[k].tobytes()
