@@ -9,7 +9,6 @@ generator, and reproducible multi-seed sweeps with mean(std) reporting.
 
 from .config import ExperimentConfig
 from .core import (
-    ClassId,
     ClassPools,
     DatasetBundle,
     RandomSource,
@@ -44,7 +43,7 @@ from .learner import (
     predict_proba,
     train,
 )
-from .metrics import ConfusionMatrix, MetricsReport, confusion, report
+from .metrics import MetricsReport, confusion, report
 from .strategy import (
     Strategy,
     allocate_fnr,

@@ -20,9 +20,8 @@ from pathlib import Path
 
 import yaml
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, decode
 from .datafiles import (
-    decode,
     resolve_dataset,
     save_model,
     save_run_record,
@@ -95,7 +94,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     bundle = generate(spec)
     dataset_hash = write_dataset(bundle, args.out, generator_spec=spec)
     counts = ", ".join(
-        f"{name}={n}" for name, n in zip(bundle.class_names(), bundle.split_counts(bundle.train))
+        f"{name}={n}" for name, n in zip(bundle.class_names, bundle.split_counts(bundle.train))
     )
     print(f"wrote dataset to {args.out} (hash {dataset_hash}; train counts: {counts})")
     return 0

@@ -1,39 +1,56 @@
-"""Experiment configuration: parsing, validation, canonical hashing.
+"""Experiment configuration: parsing, validation, canonical hashing, and the typed decoder.
 
 Configs arrive as flat YAML mappings (one optional nested ``learner`` block)
 and validate into a frozen :class:`ExperimentConfig`. The canonical hash of
 the config travels with every run record so reports can group records by
 the exact experiment that produced them.
+
+:func:`decode` is the one type check of every input. Configs, generator
+specs, dataset manifests, run records and checkpoints are rebuilt from field
+annotations by :func:`_decode`, which refuses a missing or unknown key, or a
+value of the wrong type, by name. A ``__post_init__`` keeps only value and
+cross-field rules.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
-from typing import Any
+import math
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import cache
+from pathlib import Path
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
-from .learner import LearnerConfig, is_finite_number
+from .learner import LearnerConfig
 from .strategy import Strategy, parse_strategy
 
-__all__ = ["ExperimentConfig", "canonical_hash"]
+__all__ = ["ExperimentConfig", "canonical_hash", "decode"]
 
+# The type of each config key. A key left out takes its default in
+# ``ExperimentConfig.from_dict``; a ``| None`` key may also be null, which
+# means the same.
 _TOP_KEYS = {
-    "dataset",
-    "arm",
-    "strategy",
-    "candidate_count",
-    "select_count",
-    "per_class_initial",
-    "budget",
-    "max_iterations",
-    "stop_on_exhaustion",
-    "sl_fraction",
-    "seeds",
-    "output_dir",
-    "learner",
+    "dataset": str,
+    "arm": str,
+    "strategy": str | None,
+    "candidate_count": int | None,
+    "select_count": int | None,
+    "per_class_initial": int | None,
+    "budget": int | None,
+    "max_iterations": int | None,
+    "stop_on_exhaustion": bool | None,
+    "sl_fraction": float | None,
+    "seeds": list[int],
+    "output_dir": str,
+    "learner": LearnerConfig | None,
 }
+
+# Above 2**53 a count has no exact float, and ``largest_remainder`` splits
+# budgets and candidate counts by float quotas.
+_COUNT_KEYS = ("candidate_count", "select_count", "per_class_initial", "budget", "max_iterations")
 
 
 def canonical_hash(payload: dict) -> str:
@@ -49,18 +66,90 @@ def _as_int(key: str, value: Any) -> int:
     return value
 
 
-def _int_field(raw: dict[str, Any], key: str, default: int | None) -> int | None:
-    """``raw[key]`` if it is an integer up to 2**53 (``default`` if absent or null); errors name the key.
+def _as_float(key: str, value: Any) -> float:
+    """``value`` as a float if it is an int or float (not a bool) finite as a float; the error names ``key``."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
 
-    Above 2**53 a count has no exact float, and ``largest_remainder`` splits
-    budgets and candidate counts by float quotas.
+
+@cache
+def _schema(cls: type) -> tuple[dict[str, Any], frozenset[str]]:
+    """The annotation of each persisted field of ``cls``, and the fields without a default.
+
+    ``RunRecord.terminal_model`` is not persisted: it is saved as a checkpoint.
     """
-    value = raw.get(key)
-    if value is None:
-        return default
-    if _as_int(key, value) > 2**53:
-        raise ConfigurationError(f"{key} must be <= 2**53, got {value}")
-    return value
+    persisted = [f for f in fields(cls) if f.name != "terminal_model"]
+    hints = get_type_hints(cls)
+    required = frozenset(f.name for f in persisted if f.default is MISSING and f.default_factory is MISSING)
+    return {f.name: hints[f.name] for f in persisted}, required
+
+
+def _at(where: str, key: object) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _decode(tp: Any, value: Any, where: str) -> Any:
+    """``value`` rebuilt as annotation ``tp``; anything else is a ConfigurationError naming ``where``.
+
+    ``tp`` is a type annotation, a dataclass, or a table of key -> annotation
+    (every key optional). Integers are taken without conversion; a float field
+    takes any finite number and stores it as a float. A dataclass or table
+    refuses an unknown key, and a dataclass a missing field without a default.
+    """
+    if tp is int:
+        return _as_int(where, value)
+    if tp is float:
+        return _as_float(where, value)
+    if tp is bool or tp is str:
+        if not isinstance(value, tp):
+            raise ConfigurationError(f"{where} must be {'true or false' if tp is bool else 'a string'}, got {value!r}")
+        return value
+    origin, args = get_origin(tp), get_args(tp)
+    table = isinstance(tp, dict)
+    if tp is dict or origin is dict or table or is_dataclass(tp):
+        if not isinstance(value, dict):
+            if not where:
+                raise ConfigurationError(f"the file must be a JSON object, not {type(value).__name__}")
+            raise ConfigurationError(f"{where} must be a mapping, got {value!r}")
+        if tp is dict:
+            return value
+        if origin is dict:  # dict[str, X]: JSON keys are strings
+            return {k: _decode(args[1], v, _at(where, k)) for k, v in value.items()}
+        types, required = (tp, frozenset()) if table else _schema(tp)
+        for problem, keys in (("missing", required - value.keys()), ("unknown", value.keys() - types.keys())):
+            if keys:
+                raise ConfigurationError(f"{problem} keys {sorted(_at(where, k) for k in keys)}")
+        decoded = {k: _decode(types[k], v, _at(where, k)) for k, v in value.items()}
+        return decoded if table else tp(**decoded)
+    if origin is UnionType:  # X | None
+        if value is None and type(None) in args:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return _decode(tp, value, where)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{where} must be a list, got {value!r}")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise ConfigurationError(f"{where} must have {len(args)} entries, got {len(value)}")
+            item_types = args
+        else:
+            item_types = args[:1] * len(value)
+        items = [_decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(item_types, value))]
+        return items if origin is list else tuple(items)
+    raise TypeError(f"no decoder for annotation {tp!r}")
+
+
+def decode(cls: type, payload: Any, source: Path | str) -> Any:
+    """``payload`` rebuilt as dataclass ``cls``, field by field; errors name ``source`` and the field."""
+    try:
+        return _decode(cls, payload, "")
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{source}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -125,56 +214,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"config must be a mapping, got {type(raw).__name__}")
-        unknown = set(raw) - _TOP_KEYS
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-
-        arm = raw.get("arm", "al")
-        strategy_name = raw.get("strategy")
-        candidate_count = _int_field(raw, "candidate_count", None)
-        select_count = _int_field(raw, "select_count", None)
-        strategy = None
-        if strategy_name is not None:
-            strategy = parse_strategy(str(strategy_name), candidate_count, select_count)
-        elif candidate_count is not None or select_count is not None:
+        """The config in mapping ``raw``, each key decoded by its ``_TOP_KEYS`` type, then the cross-field rules."""
+        d = _decode(_TOP_KEYS, raw, "")
+        for key in _COUNT_KEYS:
+            if (d.get(key) or 0) > 2**53:
+                raise ConfigurationError(f"{key} must be <= 2**53, got {d[key]}")
+        name, counts = d.get("strategy"), (d.get("candidate_count"), d.get("select_count"))
+        if name is None and counts != (None, None):
             raise ConfigurationError("candidate_count/select_count require strategy 'entropy_topk'")
-
-        stop_on_exhaustion = raw.get("stop_on_exhaustion")
-        if stop_on_exhaustion is not None and not isinstance(stop_on_exhaustion, bool):
-            raise ConfigurationError(f"stop_on_exhaustion must be true or false, got {stop_on_exhaustion!r}")
-        sl_fraction = raw.get("sl_fraction")
-        if sl_fraction is not None:
-            if not is_finite_number(sl_fraction):
-                raise ConfigurationError(f"sl_fraction must be a finite number, got {sl_fraction!r}")
-            sl_fraction = float(sl_fraction)
-
-        learner_raw = raw.get("learner") or {}
-        if not isinstance(learner_raw, dict):
-            raise ConfigurationError("'learner' must be a mapping of learner options")
-        try:
-            learner = LearnerConfig(**learner_raw)
-        except TypeError as e:
-            raise ConfigurationError(f"invalid learner options: {e}") from e
-
-        seeds_raw = raw.get("seeds", [0])
-        if not isinstance(seeds_raw, (list, tuple)):
-            seeds_raw = [seeds_raw]
-        seeds = tuple(_as_int("seeds", s) for s in seeds_raw)
-
         return cls(
-            dataset=str(raw.get("dataset", "")),
-            arm=str(arm),
-            strategy=strategy,
-            per_class_initial=_int_field(raw, "per_class_initial", 0),
-            budget=_int_field(raw, "budget", 0),
-            max_iterations=_int_field(raw, "max_iterations", None),
-            stop_on_exhaustion=bool(stop_on_exhaustion),
-            sl_fraction=sl_fraction,
-            learner=learner,
-            seeds=seeds,
-            output_dir=str(raw.get("output_dir", "out")),
+            dataset=d.get("dataset", ""),
+            arm=d.get("arm", "al"),
+            strategy=None if name is None else parse_strategy(name, *counts),
+            per_class_initial=d.get("per_class_initial") or 0,
+            budget=d.get("budget") or 0,
+            max_iterations=d.get("max_iterations"),
+            stop_on_exhaustion=d.get("stop_on_exhaustion") or False,
+            sl_fraction=d.get("sl_fraction"),
+            learner=d.get("learner") or LearnerConfig(),
+            seeds=tuple(d.get("seeds", [0])),
+            output_dir=d.get("output_dir", "out"),
         )
 
     def to_dict(self) -> dict:

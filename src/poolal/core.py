@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "ClassId",
     "Split",
     "DatasetBundle",
     "ClassPools",
@@ -29,14 +28,6 @@ __all__ = [
     "split_initial",
     "class_balance",
 ]
-
-
-@dataclass(frozen=True)
-class ClassId:
-    """A class in the label set: positional index plus display name."""
-
-    index: int
-    name: str
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -70,14 +61,14 @@ class Split:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Immutable train/validation/test splits plus class metadata.
+    """Immutable train/validation/test splits plus the class names.
 
-    Splits are disjoint by sample id; every label is a registered class;
-    validation and test are non-empty. Safe to share read-only across
-    concurrently executing runs.
+    Label ``i`` is class ``class_names[i]``. Splits are disjoint by sample id;
+    every label is a registered class; validation and test are non-empty.
+    Safe to share read-only across concurrently executing runs.
     """
 
-    classes: tuple[ClassId, ...]
+    class_names: tuple[str, ...]
     train: Split
     validation: Split
     test: Split
@@ -86,18 +77,18 @@ class DatasetBundle:
     @classmethod
     def build(
         cls,
-        classes: Sequence[ClassId],
+        class_names: Sequence[str],
         train: Split,
         validation: Split,
         test: Split,
         feature_dim: int,
     ) -> "DatasetBundle":
         """Validate and assemble a bundle; raises ConfigurationError on bad input."""
-        classes = tuple(classes)
-        if len(classes) < 2:
-            raise ConfigurationError(f"need at least 2 classes, got {len(classes)}")
-        if [c.index for c in classes] != list(range(len(classes))):
-            raise ConfigurationError("class indices must be 0..I-1 in order")
+        class_names = tuple(class_names)
+        if len(class_names) < 2:
+            raise ConfigurationError(f"need at least 2 classes, got {len(class_names)}")
+        if len(set(class_names)) < len(class_names):
+            raise ConfigurationError(f"class names must be distinct, got {list(class_names)}")
         if feature_dim < 1:
             raise ConfigurationError(f"feature_dim must be >= 1, got {feature_dim}")
 
@@ -110,7 +101,7 @@ class DatasetBundle:
             if nonfinite.any():
                 row = int(np.argmax(nonfinite))
                 raise ConfigurationError(f"{split_name}: sample {split.id_of(row)!r} has non-finite features")
-            unregistered = (y < 0) | (y >= len(classes))
+            unregistered = (y < 0) | (y >= len(class_names))
             if unregistered.any():
                 row = int(np.argmax(unregistered))
                 raise ConfigurationError(f"{split_name}: sample {split.id_of(row)!r} has unregistered label {y[row]}")
@@ -126,14 +117,11 @@ class DatasetBundle:
             raise ConfigurationError(f"sample id {str(ids[k])!r} appears in both {owner[j]} and {owner[k]}")
         if not (len(validation) and len(test)):
             raise ConfigurationError("the validation and test splits must not be empty")
-        return cls(classes=classes, train=train, validation=validation, test=test, feature_dim=feature_dim)
+        return cls(class_names=class_names, train=train, validation=validation, test=test, feature_dim=feature_dim)
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes)
-
-    def class_names(self) -> list[str]:
-        return [c.name for c in self.classes]
+        return len(self.class_names)
 
     def split_counts(self, split: Split) -> list[int]:
         """Per-class sample counts of one split."""
@@ -191,10 +179,6 @@ class ClassPools:
     def num_classes(self) -> int:
         return len(self._pools)
 
-    def remaining(self, class_index: int) -> int:
-        self._check_class(class_index)
-        return len(self._pools[class_index])
-
     def remaining_counts(self) -> list[int]:
         return [len(p) for p in self._pools]
 
@@ -211,7 +195,8 @@ class ClassPools:
         Returns fewer than ``n`` when the pool runs short; callers detect the
         shortfall from the length of the result.
         """
-        self._check_class(class_index)
+        if not 0 <= class_index < len(self._pools):
+            raise ConfigurationError(f"unknown class index {class_index} (have {len(self._pools)} pools)")
         if n < 0:
             raise ConfigurationError(f"draw count must be >= 0, got {n}")
         pool = self._pools[class_index]
@@ -224,12 +209,6 @@ class ClassPools:
         labels = self.split.y[rows]
         for i, pool in enumerate(self._pools):
             self._pools[i] = np.concatenate([pool, rows[labels == i]])
-
-    def _check_class(self, class_index: int) -> None:
-        if not 0 <= class_index < len(self._pools):
-            raise ConfigurationError(
-                f"unknown class index {class_index} (have {len(self._pools)} pools)"
-            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,9 +9,10 @@ per-split class counts (checked on load), the generator spec for synthetic
 data, and a digest of the CSV bytes that run records embed and reports compare.
 
 This is the one module that knows a file format. Every JSON file is written by
-:func:`_write_json`; run records and generator specs are read back by
-:func:`decode`, which rebuilds the dataclass from its field annotations and
-refuses a missing or unknown key or a value of the wrong type by name.
+:func:`_write_json` and read back by :func:`_read_json` as a dataclass
+(:class:`Manifest`, :class:`Checkpoint` or the run record) through
+:func:`~poolal.config.decode`, which refuses a missing or unknown key or a
+value of the wrong type by name.
 """
 
 from __future__ import annotations
@@ -20,19 +21,17 @@ import csv
 import hashlib
 import json
 from array import array
-from dataclasses import MISSING, asdict, fields, is_dataclass, replace
-from functools import cache
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from types import UnionType
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any
 
 import numpy as np
 
-from .config import _as_int, canonical_hash
-from .core import ClassId, DatasetBundle, Split
+from .config import _decode, canonical_hash, decode
+from .core import DatasetBundle, Split
 from .engine import RunRecord
 from .errors import ConfigurationError
-from .learner import KINDS, TrainedModel, is_finite_number
+from .learner import KINDS, PARAM_AXES, TrainedModel
 from .synthgen import PRESETS, GeneratorSpec, generate
 
 __all__ = [
@@ -44,17 +43,54 @@ __all__ = [
     "write_trajectory_csv",
     "save_model",
     "load_model",
-    "decode",
+    "Manifest",
+    "Checkpoint",
 ]
 
 SPLIT_FILES = (("train", "train.csv"), ("validation", "val.csv"), ("test", "test.csv"))
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A dataset directory's ``manifest.json`` (schema v1).
+
+    ``counts`` maps ``train``, ``validation`` and ``test`` to the split's
+    per-class row counts; ``generator`` is the synthetic data's generator
+    spec, or null for data from elsewhere. With ``dataset_hash`` left out,
+    the hash is computed on load.
+    """
+
+    schema_version: int
+    classes: list[str]
+    feature_dim: int
+    counts: dict[str, list[int]]
+    generator: dict | None = None
+    dataset_hash: str | None = None
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """A model checkpoint file (schema v1); :func:`load_model` checks ``params`` against the kind's shapes."""
+
+    schema_version: int
+    kind: str
+    feature_dim: int
+    num_classes: int
+    params: dict
+    config_hash: str | None = None
+    best_epoch: int = 0
+    stopped_epoch: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ConfigurationError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_split_csv(path: Path, split: Split, class_names: list[str], feature_dim: int) -> None:
+def _write_split_csv(path: Path, split: Split, class_names: tuple[str, ...], feature_dim: int) -> None:
     with path.open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["id", "label"] + [f"f{i}" for i in range(feature_dim)])
@@ -62,20 +98,15 @@ def _write_split_csv(path: Path, split: Split, class_names: list[str], feature_d
             writer.writerow([sample_id, class_names[label], *map(repr, features)])
 
 
-def _json_object(path: Path | str, value: object, what: str = "the file") -> dict:
-    """``value`` if it is a JSON object; the error names ``path``."""
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{path}: {what} must be a JSON object, not {type(value).__name__}")
-    return value
-
-
-def _read_json_object(path: Path | str) -> dict:
-    """The JSON object in ``path``; anything else is a ConfigurationError naming the path."""
+def _read_json(cls: type, path: Path | str, what: str) -> Any:
+    """The schema v1 ``what`` in JSON file ``path``, decoded as dataclass ``cls``; errors name the path."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"{path}: not valid JSON: {e}") from None
-    return _json_object(path, payload)
+    if isinstance(payload, dict) and payload.get("schema_version") != 1:
+        raise ConfigurationError(f"{path}: unsupported {what} schema_version {payload.get('schema_version')!r}")
+    return decode(cls, payload, path)
 
 
 def _write_json(path: Path | str, payload: dict) -> None:
@@ -83,74 +114,6 @@ def _write_json(path: Path | str, payload: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-@cache
-def _schema(cls: type) -> tuple[dict[str, Any], frozenset[str]]:
-    """The annotation of each persisted field of ``cls``, and the fields without a default.
-
-    ``RunRecord.terminal_model`` is not persisted: it is saved as a checkpoint.
-    """
-    persisted = [f for f in fields(cls) if f.name != "terminal_model"]
-    hints = get_type_hints(cls)
-    required = frozenset(f.name for f in persisted if f.default is MISSING and f.default_factory is MISSING)
-    return {f.name: hints[f.name] for f in persisted}, required
-
-
-def _at(where: str, key: object) -> str:
-    return f"{where}.{key}" if where else str(key)
-
-
-def _decode(tp: Any, value: Any, where: str) -> Any:
-    """``value`` rebuilt as annotation ``tp``; anything else is a ConfigurationError naming ``where``.
-
-    Integers follow the config's no-conversion rule; a float field takes any
-    finite number and stores it as a float.
-    """
-    if tp is float:
-        if not is_finite_number(value):
-            raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
-        return float(value)
-    if tp is int:
-        return _as_int(where, value)
-    if tp is str or tp is dict:
-        if not isinstance(value, tp):
-            raise ConfigurationError(f"{where} must be a {'string' if tp is str else 'mapping'}, got {value!r}")
-        return value
-    if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise ConfigurationError(f"{where or 'the file'} must be a JSON object, not {type(value).__name__}")
-        types, required = _schema(tp)
-        for problem, keys in (("missing", required - value.keys()), ("unknown", value.keys() - types.keys())):
-            if keys:
-                raise ConfigurationError(f"{problem} keys {sorted(_at(where, k) for k in keys)}")
-        return tp(**{k: _decode(types[k], v, _at(where, k)) for k, v in value.items()})
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is UnionType:  # X | None
-        if value is None and type(None) in args:
-            return None
-        (tp,) = (a for a in args if a is not type(None))
-        return _decode(tp, value, where)
-    if origin in (list, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigurationError(f"{where} must be a list, got {value!r}")
-        if origin is tuple and args[-1] is not Ellipsis:
-            if len(value) != len(args):
-                raise ConfigurationError(f"{where} must have {len(args)} entries, got {len(value)}")
-            item_types = args
-        else:
-            item_types = args[:1] * len(value)
-        items = [_decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(item_types, value))]
-        return items if origin is list else tuple(items)
-    raise TypeError(f"no decoder for annotation {tp!r}")
-
-
-def decode(cls: type, payload: Any, source: Path | str) -> Any:
-    """``payload`` rebuilt as dataclass ``cls``, field by field; errors name ``source`` and the field."""
-    try:
-        return _decode(cls, payload, "")
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{source}: {e}") from None
 
 
 def _hash_csv_files(out_dir: Path) -> str:
@@ -164,22 +127,18 @@ def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: Ge
     """Write the three split CSVs and the manifest; returns the dataset hash."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = bundle.class_names()
     for split_name, fname in SPLIT_FILES:
-        _write_split_csv(out / fname, getattr(bundle, split_name), names, bundle.feature_dim)
+        _write_split_csv(out / fname, getattr(bundle, split_name), bundle.class_names, bundle.feature_dim)
     dataset_hash = _hash_csv_files(out)
-    manifest = {
-        "schema_version": 1,
-        "classes": names,
-        "feature_dim": bundle.feature_dim,
-        "counts": {
-            split_name: bundle.split_counts(getattr(bundle, split_name))
-            for split_name, _ in SPLIT_FILES
-        },
-        "generator": None if generator_spec is None else asdict(generator_spec),
-        "dataset_hash": dataset_hash,
-    }
-    _write_json(out / "manifest.json", manifest)
+    manifest = Manifest(
+        schema_version=1,
+        classes=list(bundle.class_names),
+        feature_dim=bundle.feature_dim,
+        counts={split_name: bundle.split_counts(getattr(bundle, split_name)) for split_name, _ in SPLIT_FILES},
+        generator=None if generator_spec is None else asdict(generator_spec),
+        dataset_hash=dataset_hash,
+    )
+    _write_json(out / "manifest.json", asdict(manifest))
     return dataset_hash
 
 
@@ -189,9 +148,9 @@ def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int)
     features = array("d")
     with path.open("r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        expected = ["id", "label"] + [f"f{i}" for i in range(feature_dim)]
-        if header != expected:
+        header = next(reader, None) or []
+        # the length first: a huge manifest feature_dim must not build its column names
+        if len(header) != 2 + feature_dim or header != ["id", "label"] + [f"f{i}" for i in range(feature_dim)]:
             raise ConfigurationError(f"{path}: unexpected header {header!r}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 2 + feature_dim:
@@ -209,46 +168,36 @@ def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int)
     return Split(X, np.frombuffer(labels, dtype=np.int64), ids)
 
 
-def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, dict]:
+def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, Manifest]:
     """Load a dataset directory, checking it against its manifest; returns (bundle, dataset_hash, manifest)."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.is_file():
         raise ConfigurationError(f"no manifest.json in {data_dir}")
-    manifest = _read_json_object(manifest_path)
-    if manifest.get("schema_version") != 1:
-        raise ConfigurationError(f"unsupported manifest schema_version {manifest.get('schema_version')!r}")
-    try:
-        names = _decode(list[str], manifest["classes"], f"{manifest_path}: classes")
-        feature_dim = _as_int(f"{manifest_path}: feature_dim", manifest["feature_dim"])
-        manifest_counts = {split_name: manifest["counts"][split_name] for split_name, _ in SPLIT_FILES}
-    except KeyError as e:
-        raise ConfigurationError(f"{manifest_path}: missing key {e}") from None
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"{manifest_path}: malformed manifest: {e}") from None
+    manifest = _read_json(Manifest, manifest_path, "manifest")
 
-    name_to_index = {n: i for i, n in enumerate(names)}
+    name_to_index = {n: i for i, n in enumerate(manifest.classes)}
     splits = {}
     for split_name, fname in SPLIT_FILES:
         path = data_dir / fname
         if not path.is_file():
             raise ConfigurationError(f"missing split file {path}")
-        split = _read_split_csv(path, name_to_index, feature_dim)
-        counts, declared = np.bincount(split.y, minlength=len(names)).tolist(), manifest_counts[split_name]
+        split = _read_split_csv(path, name_to_index, manifest.feature_dim)
+        counts = np.bincount(split.y, minlength=len(manifest.classes)).tolist()
+        declared = manifest.counts.get(split_name)
         if counts != declared:
             raise ConfigurationError(f"{path}: class counts {counts} differ from the manifest's {declared}")
         splits[split_name] = split
 
     dataset_hash = _hash_csv_files(data_dir)
-    declared = manifest.get("dataset_hash")
+    declared = manifest.dataset_hash
     if declared is not None and declared != dataset_hash:
         raise ConfigurationError(
             f"dataset files do not match the manifest hash (declared {declared}, actual {dataset_hash})"
         )
 
-    classes = [ClassId(index=i, name=n) for i, n in enumerate(names)]
     bundle = DatasetBundle.build(
-        classes, splits["train"], splits["validation"], splits["test"], feature_dim
+        manifest.classes, splits["train"], splits["validation"], splits["test"], manifest.feature_dim
     )
     return bundle, dataset_hash, manifest
 
@@ -281,10 +230,7 @@ def save_run_record(record: RunRecord, path: str | Path) -> None:
 
 def load_run_record(path: str | Path) -> RunRecord:
     """A schema v1 run record, checked field by field."""
-    payload = _read_json_object(path)
-    if payload.get("schema_version") != 1:
-        raise ConfigurationError(f"{path}: unsupported run record schema_version {payload.get('schema_version')!r}")
-    record = decode(RunRecord, payload, path)
+    record = _read_json(RunRecord, path, "run record")
     per_class, names = record.final_test_metrics.per_class, record.class_names
     if len(per_class) != len(names):
         raise ConfigurationError(
@@ -334,37 +280,51 @@ def write_trajectory_csv(record: RunRecord, path: str | Path) -> None:
 
 def save_model(model: TrainedModel, path: str | Path, config_hash: str | None = None) -> None:
     """Checkpoint (schema v1): parameter tensors plus shape metadata; the training log is dropped."""
-    _write_json(
-        path,
-        {
-            "schema_version": 1,
-            "kind": model.kind,
-            "feature_dim": model.feature_dim,
-            "num_classes": model.num_classes,
-            "config_hash": config_hash,
-            "best_epoch": model.best_epoch,
-            "stopped_epoch": model.stopped_epoch,
-            "params": {k: v.tolist() for k, v in model.params.items()},
-        },
+    checkpoint = Checkpoint(
+        schema_version=1,
+        kind=model.kind,
+        feature_dim=model.feature_dim,
+        num_classes=model.num_classes,
+        params={k: v.tolist() for k, v in model.params.items()},
+        config_hash=config_hash,
+        best_epoch=model.best_epoch,
+        stopped_epoch=model.stopped_epoch,
     )
+    _write_json(path, asdict(checkpoint))
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """Rebuild a model from a checkpoint; exact float round-trip."""
-    payload = _read_json_object(path)
-    params = _json_object(path, payload.get("params"), "'params'")
-    if payload.get("schema_version") != 1:
-        raise ConfigurationError(f"{path}: unsupported checkpoint schema_version {payload.get('schema_version')!r}")
-    try:
-        if payload["kind"] not in KINDS:
-            raise ConfigurationError(f"kind must be one of {KINDS}, got {payload['kind']!r}")
-        return TrainedModel(
-            kind=payload["kind"],
-            feature_dim=_as_int("feature_dim", payload["feature_dim"]),
-            num_classes=_as_int("num_classes", payload["num_classes"]),
-            params={k: np.asarray(v, dtype=float) for k, v in params.items()},
-            stopped_epoch=_as_int("stopped_epoch", payload.get("stopped_epoch", 0)),
-            best_epoch=_as_int("best_epoch", payload.get("best_epoch", 0)),
+    """Rebuild a model from a checkpoint, checking each field and each parameter's name and shape.
+
+    Floats round-trip exactly.
+    """
+    checkpoint = _read_json(Checkpoint, path, "checkpoint")
+    axes = PARAM_AXES[checkpoint.kind]
+    if sorted(checkpoint.params) != sorted(axes):
+        raise ConfigurationError(
+            f"{path}: {checkpoint.kind} params must be {sorted(axes)}, got {sorted(checkpoint.params)}"
         )
-    except (KeyError, TypeError, ValueError, ConfigurationError) as e:
-        raise ConfigurationError(f"{path}: malformed checkpoint ({e})") from e
+    dims = {"d": checkpoint.feature_dim, "I": checkpoint.num_classes}
+    params = {}
+    for name, axis_names in axes.items():
+        where = f"{path}: params.{name}"
+        if len(axis_names) == 2:
+            rows = _decode(list[list[float]], checkpoint.params[name], where)
+            shape = (len(rows), *{len(row) for row in rows})  # a ragged matrix gets more than two
+        else:
+            rows = _decode(list[float], checkpoint.params[name], where)
+            shape = (len(rows),)
+        if name == "W1":  # H, the hidden width, is read from W1's columns
+            dims["H"] = shape[-1]
+        expected = tuple(dims[a] for a in axis_names)
+        if shape != expected:
+            raise ConfigurationError(f"{where} must have shape {expected}, got {shape}")
+        params[name] = np.array(rows)
+    return TrainedModel(
+        kind=checkpoint.kind,
+        feature_dim=checkpoint.feature_dim,
+        num_classes=checkpoint.num_classes,
+        params=params,
+        stopped_epoch=checkpoint.stopped_epoch,
+        best_epoch=checkpoint.best_epoch,
+    )

@@ -130,7 +130,7 @@ def _terminal_record(
         dataset_hash=dataset_hash,
         seed=seed,
         arm_label=config.arm_label(),
-        class_names=bundle.class_names(),
+        class_names=list(bundle.class_names),
         iterations=iterations,
         final_test_metrics=evaluate_model(model, bundle.test, bundle.num_classes),
         total_labeled=ts.size,
@@ -191,7 +191,7 @@ def run_active_learning(
         if config.stop_on_exhaustion and bool(np.any(requested > remaining)):
             short = int(np.argmax(requested - remaining))
             stop_reason = (
-                f"pool exhausted: class {bundle.classes[short].name!r} requested "
+                f"pool exhausted: class {bundle.class_names[short]!r} requested "
                 f"{int(requested[short])} with {int(remaining[short])} remaining"
             )
             break

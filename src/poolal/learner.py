@@ -13,7 +13,6 @@ a fixed :class:`~poolal.core.RandomSource`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,6 @@ from .errors import ConfigurationError, TrainingError
 
 __all__ = [
     "LearnerConfig",
-    "is_finite_number",
     "EpochStats",
     "TrainedModel",
     "train",
@@ -36,13 +34,8 @@ __all__ = [
 
 KINDS = ("softmax_linear", "mlp")
 
-
-def is_finite_number(value: object) -> bool:
-    """True for an int or float (not a bool) that is finite as a float."""
-    try:
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
+# Each kind's parameters and their axes: d features, I classes, H hidden units.
+PARAM_AXES = {"softmax_linear": {"W": "dI", "b": "I"}, "mlp": {"W1": "dH", "b1": "H", "W2": "HI", "b2": "I"}}
 
 
 @dataclass(frozen=True)
@@ -51,6 +44,8 @@ class LearnerConfig:
 
     ``learning_rate`` may be 0 (frozen parameters), which is occasionally
     useful to probe the early-stopping rule; negative rates are rejected.
+    A config's ``learner`` block reaches here through the typed decoder
+    (:func:`poolal.config.decode`), which checks each field's type.
     """
 
     kind: str = "softmax_linear"
@@ -66,19 +61,11 @@ class LearnerConfig:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown learner kind {self.kind!r}; expected one of {KINDS}")
         for name in ("batch_size", "max_epochs", "patience", "hidden_units"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("learning_rate", "init_scale"):
-            value = getattr(self, name)
-            if not is_finite_number(value):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-            if value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
-        if not isinstance(self.warm_start, bool):
-            raise ConfigurationError(f"warm_start must be true or false, got {self.warm_start!r}")
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -110,20 +97,13 @@ def samples_to_arrays(rows: np.ndarray, split: Split) -> tuple[np.ndarray, np.nd
 
 
 def _init_params(config: LearnerConfig, feature_dim: int, num_classes: int, gen: np.random.Generator) -> dict[str, np.ndarray]:
-    """Zero-mean uniform weights in [-init_scale, init_scale], zero biases."""
-    s = config.init_scale
-
-    def w(shape: tuple[int, ...]) -> np.ndarray:
-        return gen.uniform(-s, s, size=shape)
-
-    if config.kind == "softmax_linear":
-        return {"W": w((feature_dim, num_classes)), "b": np.zeros(num_classes)}
-    return {
-        "W1": w((feature_dim, config.hidden_units)),
-        "b1": np.zeros(config.hidden_units),
-        "W2": w((config.hidden_units, num_classes)),
-        "b2": np.zeros(num_classes),
-    }
+    """Zero-mean uniform weights in [-init_scale, init_scale] drawn in ``PARAM_AXES`` order, zero biases."""
+    dims = {"d": feature_dim, "I": num_classes, "H": config.hidden_units}
+    params = {}
+    for name, axes in PARAM_AXES[config.kind].items():
+        shape = tuple(dims[a] for a in axes)
+        params[name] = np.zeros(shape) if len(axes) == 1 else gen.uniform(-config.init_scale, config.init_scale, shape)
+    return params
 
 
 def _forward(kind: str, params: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:

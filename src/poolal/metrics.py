@@ -17,22 +17,7 @@ import numpy as np
 
 from .errors import EvaluationError
 
-__all__ = ["ConfusionMatrix", "ClassMetrics", "MetricsReport", "confusion", "report"]
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """I x I count matrix; counts[t][p] = samples of true class t predicted as p."""
-
-    counts: np.ndarray
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+__all__ = ["ClassMetrics", "MetricsReport", "confusion", "report"]
 
 
 @dataclass(frozen=True)
@@ -54,16 +39,13 @@ class MetricsReport:
     def fnr_vector(self) -> np.ndarray:
         return np.array([m.fnr for m in self.per_class])
 
-    def f1_vector(self) -> np.ndarray:
-        return np.array([m.f1 for m in self.per_class])
-
 
 def confusion(
     true_labels: Sequence[int],
     predicted_labels: Sequence[int],
     num_classes: int,
-) -> ConfusionMatrix:
-    """Tally a confusion matrix from parallel label sequences."""
+) -> np.ndarray:
+    """The I x I int64 confusion matrix of parallel label sequences: ``[t, p]`` counts true class t predicted as p."""
     if len(true_labels) != len(predicted_labels):
         raise EvaluationError(
             f"label sequences differ in length: {len(true_labels)} vs {len(predicted_labels)}"
@@ -78,22 +60,22 @@ def confusion(
         raise EvaluationError("predicted labels contain unregistered class indices")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (t, p), 1)
-    return ConfusionMatrix(counts=counts)
+    return counts
 
 
 def _ratio(num: int, den: int) -> float:
     return num / den if den > 0 else 0.0
 
 
-def report(cm: ConfusionMatrix) -> MetricsReport:
+def report(counts: np.ndarray) -> MetricsReport:
     """Per-class and aggregate metrics from a confusion matrix.
 
     Per-class F1 is computed as 2*TP / (2*TP + FP + FN), which equals the
     harmonic mean of precision and recall and keeps micro F1 exactly equal
     to accuracy for single-label evaluation.
     """
-    counts = cm.counts
-    total = cm.total
+    num_classes = counts.shape[0]
+    total = int(counts.sum())
     if total <= 0:
         raise EvaluationError("cannot report on an empty confusion matrix")
 
@@ -102,7 +84,7 @@ def report(cm: ConfusionMatrix) -> MetricsReport:
     fp = counts.sum(axis=0) - tp
 
     per_class = []
-    for i in range(cm.num_classes):
+    for i in range(num_classes):
         tpi, fni, fpi = int(tp[i]), int(fn[i]), int(fp[i])
         per_class.append(
             ClassMetrics(
@@ -116,7 +98,7 @@ def report(cm: ConfusionMatrix) -> MetricsReport:
 
     tp_sum, fp_sum, fn_sum = int(tp.sum()), int(fp.sum()), int(fn.sum())
     micro_f1 = _ratio(2 * tp_sum, 2 * tp_sum + fp_sum + fn_sum)
-    macro_f1 = sum(m.f1 for m in per_class) / cm.num_classes
+    macro_f1 = sum(m.f1 for m in per_class) / num_classes
     accuracy = tp_sum / total
     return MetricsReport(
         per_class=tuple(per_class),

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClassId, DatasetBundle, Split
+from .core import DatasetBundle, Split
 from .errors import ConfigurationError
 from .strategy import largest_remainder
 
@@ -132,13 +132,11 @@ def _generate_split(
 def generate(spec: GeneratorSpec) -> DatasetBundle:
     """Materialize the three splits described by ``spec``; pure in (spec, seed)."""
     means = spec.resolved_means()
-    names = spec.class_names
     gen = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    classes = [ClassId(index=i, name=names[i]) for i in range(spec.num_classes)]
     train = _generate_split(spec, "train", spec.per_class_train_counts, means, gen)
     validation = _generate_split(spec, "val", spec.per_class_val_counts, means, gen)
     test = _generate_split(spec, "test", spec.per_class_test_counts, means, gen)
-    return DatasetBundle.build(classes, train, validation, test, spec.feature_dim)
+    return DatasetBundle.build(spec.class_names, train, validation, test, spec.feature_dim)
 
 
 def tissue_benchmark_preset(seed: int = 7) -> GeneratorSpec:

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from poolal.core import ClassId, ClassPools, DatasetBundle, Split
+from poolal.core import ClassPools, DatasetBundle, Split
 
 
 def make_split(labels, prefix="s", feature_dim=2, rng=None):
@@ -30,9 +30,8 @@ def pools_of(split, num_classes):
 
 def make_bundle(train_labels, val_labels, test_labels, num_classes, feature_dim=2, seed=0):
     gen = np.random.default_rng(seed)
-    classes = [ClassId(index=i, name=f"class_{i}") for i in range(num_classes)]
     return DatasetBundle.build(
-        classes,
+        [f"class_{i}" for i in range(num_classes)],
         make_split(train_labels, "tr", feature_dim, gen),
         make_split(val_labels, "va", feature_dim, gen),
         make_split(test_labels, "te", feature_dim, gen),

@@ -171,7 +171,7 @@ def test_criterion_4_loop_conservation(preset_bundle):
 def test_criterion_5_hard_class_dominates_allocation(preset_bundle, fnr_sweep):
     with criterion(5, "the overlap-hardened class receives the largest cumulative allocation in >= 8/10 seeds"):
         records, _ = fnr_sweep
-        stroma = preset_bundle.class_names().index("stroma")
+        stroma = preset_bundle.class_names.index("stroma")
         wins = 0
         for record in records:
             cumulative = np.sum(

@@ -71,19 +71,28 @@ def _slots(tree):
         yield from _slots(tree[key])
 
 
-def mutate(data, tree: dict) -> None:
+# Values small enough to run: an unbounded max_epochs or patience never ends, and
+# an unbounded hidden_units or feature_dim exhausts memory.
+BOUNDED_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats(-1000, 1000) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def mutate(data, tree: dict, values=FIELD_VALUES) -> None:
     """Drop a key, add a key, or give a value another type, somewhere in ``tree``."""
     op = data.draw(st.sampled_from(["drop", "add", "swap"]))
     slots = list(_slots(tree))
     if op == "add":
         node = data.draw(st.sampled_from([tree] + [c[k] for c, k in slots if isinstance(c[k], dict)]))
-        node[data.draw(st.text(max_size=6))] = data.draw(FIELD_VALUES)
+        node[data.draw(st.text(max_size=6))] = data.draw(values)
     elif op == "drop":
         container, key = data.draw(st.sampled_from([(c, k) for c, k in slots if isinstance(c, dict)]))
         del container[key]
     else:
         container, key = data.draw(st.sampled_from(slots))
-        container[key] = data.draw(FIELD_VALUES.filter(lambda v: type(v) is not type(container[key])))
+        container[key] = data.draw(values.filter(lambda v: type(v) is not type(container[key])))
 
 
 def assert_exit_0_or_one_error_line(capsys, argv: list[str]) -> None:
@@ -152,7 +161,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(self.base(max_iterations=0))
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown config keys"):
+        with pytest.raises(ConfigurationError, match=re.escape("unknown keys ['bogus']")):
             ExperimentConfig.from_dict(self.base(bogus=1))
 
     def test_entropy_reference_scale_expressible(self):
@@ -172,6 +181,19 @@ class TestExperimentConfig:
         c = ExperimentConfig.from_dict(self.base(budget=21))
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_learner_floats_stored_as_floats(self):
+        learner = RUN_CFG["learner"]
+        ints = ExperimentConfig.from_dict(self.base(learner=dict(learner, learning_rate=0, init_scale=1)))
+        floats = ExperimentConfig.from_dict(self.base(learner=dict(learner, learning_rate=0.0, init_scale=1.0)))
+        assert type(ints.learner.learning_rate) is float and type(ints.learner.init_scale) is float
+        assert ints.config_hash() == floats.config_hash()
+
+    def test_null_optional_key_means_left_out(self):
+        given = {"dataset": "d", "arm": "sl", "sl_fraction": 0.5}
+        nulls = dict.fromkeys(["strategy", "candidate_count", "select_count", "per_class_initial", "budget"])
+        nulls.update(max_iterations=None, stop_on_exhaustion=None, learner=None)
+        assert ExperimentConfig.from_dict(dict(given, **nulls)) == ExperimentConfig.from_dict(given)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -272,7 +294,7 @@ class TestGenerateVerb:
 class TestDatasetRoundTrip:
     def test_read_back_values_identical(self, dataset_dir, tmp_path):
         bundle, dataset_hash, manifest = read_dataset(dataset_dir)
-        assert manifest["dataset_hash"] == dataset_hash
+        assert manifest.dataset_hash == dataset_hash
         re_emitted = tmp_path / "re"
         write_dataset(bundle, re_emitted)
         for fname in ("train.csv", "val.csv", "test.csv"):
@@ -330,7 +352,7 @@ class TestIngestFaults:
 
     def test_manifest_without_classes(self, run_cfg_file, dataset_dir, capsys):
         _edit_manifest(dataset_dir, lambda m: m.pop("classes"))
-        self._run_fails(run_cfg_file, capsys, "missing key 'classes'")
+        self._run_fails(run_cfg_file, capsys, "manifest.json: missing keys ['classes']")
 
     def test_manifest_classes_must_be_a_list(self, run_cfg_file, dataset_dir, capsys):
         _edit_manifest(dataset_dir, lambda m: m.update(classes="".join(m["classes"])))
@@ -339,6 +361,14 @@ class TestIngestFaults:
     def test_manifest_feature_dim_must_be_an_integer(self, run_cfg_file, dataset_dir, capsys):
         _edit_manifest(dataset_dir, lambda m: m.update(feature_dim=4.7))
         self._run_fails(run_cfg_file, capsys, "manifest.json: feature_dim must be an integer, got 4.7")
+
+    def test_huge_manifest_feature_dim_refused_by_the_header_length(self, run_cfg_file, dataset_dir, capsys):
+        _edit_manifest(dataset_dir, lambda m: m.update(feature_dim=10**12))
+        self._run_fails(run_cfg_file, capsys, "train.csv: unexpected header ['id', 'label', 'f0', 'f1', 'f2', 'f3']")
+
+    def test_unknown_manifest_key_refused(self, run_cfg_file, dataset_dir, capsys):
+        _edit_manifest(dataset_dir, lambda m: m.update(source="scanner"))
+        self._run_fails(run_cfg_file, capsys, "manifest.json: unknown keys ['source']")
 
     def test_manifest_counts_must_match_the_csv(self, run_cfg_file, dataset_dir, capsys):
         def shift_one(manifest):
@@ -349,6 +379,33 @@ class TestIngestFaults:
         self._run_fails(
             run_cfg_file, capsys, "val.csv: class counts [30, 30, 30] differ from the manifest's [31, 29, 30]"
         )
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """A 3-class, 3-feature dataset of 24 train rows, and its pristine manifest text."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    spec = dict(GEN_SPEC, feature_dim=3, per_class_train_counts=[8, 8, 8], per_class_val_counts=[4, 4, 4])
+    spec_file = write_yaml(tmp / "genspec.yaml", dict(spec, per_class_test_counts=[4, 4, 4]))
+    assert main(["generate", "--spec", str(spec_file), "--out", str(tmp / "data")]) == 0
+    return tmp / "data", (tmp / "data" / "manifest.json").read_text()
+
+
+class TestRunInputs:
+    """``run`` on a config and a manifest with mutated fields exits 0, or 2 with one ``error:`` line."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_config_and_manifest_exit_0_or_2(self, tmp_path, capsys, tiny_dataset, data):
+        data_dir, manifest_text = tiny_dataset
+        manifest = json.loads(manifest_text)
+        cfg = dict(copy.deepcopy(RUN_CFG), dataset=str(data_dir), per_class_initial=4, budget=4, seeds=[0])
+        cfg["learner"]["max_epochs"] = 1
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate(data, data.draw(st.sampled_from([cfg, manifest])), BOUNDED_VALUES)
+        (data_dir / "manifest.json").write_text(json.dumps(manifest))
+        cfg_file = write_yaml(tmp_path / "cfg.yaml", cfg)
+        assert_exit_0_or_one_error_line(capsys, ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
 
 
 class TestRunVerb:
@@ -424,6 +481,7 @@ class TestRunVerb:
             ("candidate_count: 10.5", "", "candidate_count"),
             ("candidate_count: true", "", "candidate_count"),
             ("seeds: [1.5]", "", "seeds"),
+            ("seeds: 3", "", "seeds"),
             pytest.param("", f"learning_rate: {10**400}", "learning_rate", id="learning_rate-beyond-float"),
             pytest.param(f"budget: {10**29}", "", "budget", id="budget-beyond-2**53"),
             pytest.param(f"candidate_count: {10**23}", "", "candidate_count", id="candidate_count-beyond-2**53"),
@@ -438,7 +496,7 @@ class TestRunVerb:
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"{field} must be" in err
+        assert re.search(rf"\b{field}(\[\d+\])? must be", err), err
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
@@ -658,8 +716,12 @@ class TestCheckpointFile:
         "payload, message",
         [
             ("[1]", "the file must be a JSON object, not list"),
-            ('{"schema_version": 1, "params": [1]}', "'params' must be a JSON object, not list"),
-            ('{"schema_version": 1, "params": {}}', "malformed checkpoint"),
+            (
+                '{"schema_version": 1, "params": [1], "kind": "mlp", "feature_dim": 1, "num_classes": 2}',
+                "params must be a mapping, got [1]",
+            ),
+            ('{"schema_version": 1, "params": {}}', "missing keys ['feature_dim', 'kind', 'num_classes']"),
+            ('{"schema_version": 2, "params": {}}', "unsupported checkpoint schema_version 2"),
             ("{not json", "not valid JSON"),
         ],
     )
@@ -688,5 +750,44 @@ class TestCheckpointFile:
         checkpoint = json.loads(path.read_text())
         checkpoint[field] = value
         path.write_text(json.dumps(checkpoint))
-        with pytest.raises(ConfigurationError, match="^" + re.escape(f"{path}: malformed checkpoint ({field} ")):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(f"{path}: {field} must be ")):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c.update(feature_dim=3), "params.W must have shape (3, 2), got (1, 2)"),
+            (lambda c: c.update(params={"W1": [[1.0]]}), "softmax_linear params must be ['W', 'b'], got ['W1']"),
+            (
+                lambda c: c["params"].update(W1=[[1.0]]),
+                "softmax_linear params must be ['W', 'b'], got ['W', 'W1', 'b']",
+            ),
+            (lambda c: c["params"].update(W=[[1.0], [2.0, 3.0]]), "params.W must have shape (1, 2), got (2, 1, 2)"),
+            (lambda c: c["params"].update(b=[[0.0, 0.0]]), "params.b[0] must be a finite number, got [0.0, 0.0]"),
+            (
+                lambda c: c.update(kind="mlp", params={"W1": [[1.0]], "b1": [0.0], "W2": [[1.0, 2.0, 3.0]], "b2": [0.0]}),
+                "params.W2 must have shape (1, 2), got (1, 3)",
+            ),
+        ],
+    )
+    def test_parameter_names_and_shapes_checked(self, tmp_path, edit, message):
+        from poolal.learner import TrainedModel
+
+        path = tmp_path / "model.json"
+        save_model(TrainedModel("softmax_linear", 1, 2, {"W": np.zeros((1, 2)), "b": np.zeros(2)}), path)
+        checkpoint = json.loads(path.read_text())
+        edit(checkpoint)
+        path.write_text(json.dumps(checkpoint))
+        with pytest.raises(ConfigurationError, match="^" + re.escape(f"{path}: {message}")):
+            load_model(path)
+
+    def test_mlp_round_trip(self, tmp_path):
+        from poolal.learner import TrainedModel
+
+        gen = np.random.default_rng(0)
+        shapes = {"W1": (3, 4), "b1": (4,), "W2": (4, 2), "b2": (2,)}
+        model = TrainedModel("mlp", 3, 2, {k: gen.standard_normal(shape) for k, shape in shapes.items()}, best_epoch=2)
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.best_epoch == 2
+        assert all(np.array_equal(loaded.params[k], v) for k, v in model.params.items())

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import make_split, pools_of
 from poolal.core import (
-    ClassId,
     DatasetBundle,
     RandomSource,
     Split,
@@ -102,27 +103,27 @@ class TestPools:
         got = pools.draw(0, 4)
         assert len(got) == 4
         assert 4 - len(got) == 0  # no shortfall
-        assert pools.remaining(0) == 2
+        assert pools.remaining_counts()[0] == 2
 
     def test_draw_zero_is_identity(self):
         pools = self._pools([6])
         got = pools.draw(0, 0)
         assert len(got) == 0
-        assert pools.remaining(0) == 6
+        assert pools.remaining_counts()[0] == 6
 
     def test_draw_shortfall_empties_pool(self):
         pools = self._pools([3])
         got = pools.draw(0, 5)
         assert len(got) == 3
         assert 5 - len(got) == 2  # shortfall
-        assert pools.remaining(0) == 0
+        assert pools.remaining_counts()[0] == 0
 
     def test_unknown_class_rejected(self):
         pools = self._pools([3])
         with pytest.raises(ConfigurationError, match="unknown class"):
             pools.draw(1, 1)
-        with pytest.raises(ConfigurationError):
-            pools.remaining(-1)
+        with pytest.raises(ConfigurationError, match="unknown class"):
+            pools.draw(-1, 1)
 
     def test_negative_draw_rejected(self):
         with pytest.raises(ConfigurationError, match=">= 0"):
@@ -132,8 +133,8 @@ class TestPools:
         pools = self._pools([4, 4])
         taken = pools.draw(0, 3)
         pools.give_back(taken[:0:-1])
-        assert pools.remaining(0) == 3
-        assert pools.remaining(1) == 4
+        assert pools.remaining_counts()[0] == 3
+        assert pools.remaining_counts()[1] == 4
         # returned rows go to the back of their own pool, in the order given
         assert pools.draw(0, 3)[1:].tolist() == [taken[2], taken[1]]
 
@@ -194,24 +195,28 @@ class TestClassBalance:
 
 class TestDatasetBundle:
     def test_duplicate_ids_across_splits_rejected(self):
-        classes = [ClassId(0, "a"), ClassId(1, "b")]
+        classes = ["a", "b"]
         tr = make_split([0, 1], prefix="x")
         va = make_split([0], prefix="x")  # same ids as train
         with pytest.raises(ConfigurationError, match="sample id 'x0' appears in both train and validation"):
             DatasetBundle.build(classes, tr, va, make_split([]), 2)
 
     def test_unregistered_label_rejected(self):
-        classes = [ClassId(0, "a"), ClassId(1, "b")]
+        classes = ["a", "b"]
         with pytest.raises(ConfigurationError, match="train: sample 's1' has unregistered label 2"):
             DatasetBundle.build(classes, make_split([0, 2]), make_split([]), make_split([]), 2)
 
     def test_nonfinite_features_rejected(self):
-        classes = [ClassId(0, "a"), ClassId(1, "b")]
+        classes = ["a", "b"]
         bad = Split(np.array([[np.nan, 0.0]]), [0], ["z"])
         with pytest.raises(ConfigurationError, match="train: sample 'z' has non-finite"):
             DatasetBundle.build(classes, bad, make_split([]), make_split([]), 2)
 
+    def test_duplicate_class_names_rejected(self):
+        with pytest.raises(ConfigurationError, match=re.escape("class names must be distinct, got ['a', 'b', 'a']")):
+            DatasetBundle.build(["a", "b", "a"], make_split([0, 1], "tr"), make_split([0], "va"), make_split([1], "te"), 2)
+
     def test_needs_two_classes(self):
         empty = make_split([])
         with pytest.raises(ConfigurationError, match="at least 2"):
-            DatasetBundle.build([ClassId(0, "only")], empty, empty, empty, 2)
+            DatasetBundle.build(["only"], empty, empty, empty, 2)

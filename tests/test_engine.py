@@ -6,9 +6,8 @@ import pytest
 from dataclasses import asdict
 
 from conftest import make_split, record_payload
-from poolal.config import ExperimentConfig
+from poolal.config import ExperimentConfig, decode
 from poolal.core import ClassPools, RandomSource, split_initial
-from poolal.datafiles import decode
 from poolal.engine import (
     IterationRecord,
     RunRecord,

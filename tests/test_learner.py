@@ -9,6 +9,7 @@ import pytest
 from conftest import make_split
 from oracles import loss_and_gradient, reference_sgd
 from poolal import learner
+from poolal.config import decode
 from poolal.core import RandomSource, Split, TrainingSet
 from poolal.errors import ConfigurationError, TrainingError
 from poolal.learner import (
@@ -80,7 +81,7 @@ class TestLearnerConfig:
     def test_invalid_rejected(self, kwargs):
         (field,) = kwargs
         with pytest.raises(ConfigurationError, match=field):
-            LearnerConfig(**kwargs)
+            decode(LearnerConfig, kwargs, "learner")
 
     def test_values_kept_as_given(self):
         cfg = LearnerConfig(learning_rate=0, init_scale=1)

@@ -224,8 +224,8 @@ class TestSelectEntropyTopK:
             margin_model(), pools, [1.0, 0.0], candidate_count=4, select_count=2, rng=RandomSource(0)
         )
         assert sorted(split.ids[selected].tolist()) == ["e1", "e3"]
-        assert pools.remaining(0) == 2  # rejected candidates are back
-        assert pools.remaining(1) == 1  # untouched class
+        assert pools.remaining_counts()[0] == 2  # rejected candidates are back
+        assert pools.remaining_counts()[1] == 1  # untouched class
 
     def test_entropy_tie_broken_by_sample_id(self):
         pools, split = one_class_pools([1.0, 1.0, 1.0])

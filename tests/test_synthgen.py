@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import nearest_mean_predictions
-from poolal.datafiles import decode
+from poolal.config import decode
 from poolal.errors import ConfigurationError
 from poolal.synthgen import GeneratorSpec, generate, tissue_benchmark_preset
 
