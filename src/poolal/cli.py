@@ -114,7 +114,11 @@ def _parse_seed_override(args: argparse.Namespace, config: ExperimentConfig) -> 
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig.from_dict(_load_yaml(args.config))
+    raw = _load_yaml(args.config)
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{args.config}: {e}") from None
     seeds = _parse_seed_override(args, config)
     out_dir = Path(args.out) if args.out is not None else Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, Field, asdict, dataclass, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
@@ -76,16 +76,18 @@ def _as_float(key: str, value: Any) -> float:
     raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
 
 
+def persisted(f: Field) -> bool:
+    """Whether a file holds dataclass field ``f``; ``field(metadata={"persisted": False})`` leaves it out."""
+    return f.metadata.get("persisted", True)
+
+
 @cache
 def _schema(cls: type) -> tuple[dict[str, Any], frozenset[str]]:
-    """The annotation of each persisted field of ``cls``, and the fields without a default.
-
-    ``RunRecord.terminal_model`` is not persisted: it is saved as a checkpoint.
-    """
-    persisted = [f for f in fields(cls) if f.name != "terminal_model"]
+    """The annotation of each persisted field of ``cls``, and the fields without a default."""
+    persisted_fields = [f for f in fields(cls) if persisted(f)]
     hints = get_type_hints(cls)
-    required = frozenset(f.name for f in persisted if f.default is MISSING and f.default_factory is MISSING)
-    return {f.name: hints[f.name] for f in persisted}, required
+    required = frozenset(f.name for f in persisted_fields if f.default is MISSING and f.default_factory is MISSING)
+    return {f.name: hints[f.name] for f in persisted_fields}, required
 
 
 def _at(where: str, key: object) -> str:

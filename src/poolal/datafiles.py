@@ -21,13 +21,13 @@ import csv
 import hashlib
 import json
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .config import _decode, canonical_hash, decode
+from .config import _decode, canonical_hash, decode, persisted
 from .core import DatasetBundle, Split
 from .engine import RunRecord
 from .errors import ConfigurationError
@@ -222,9 +222,11 @@ def resolve_dataset(source: str) -> tuple[DatasetBundle, str]:
 
 
 def save_run_record(record: RunRecord, path: str | Path) -> None:
-    """Every field but the terminal model, as JSON; byte-identical for identical runs."""
-    payload = asdict(replace(record, terminal_model=None))
-    del payload["terminal_model"]
+    """Every persisted field (:func:`poolal.config.persisted`), as JSON; byte-identical for identical runs."""
+    dropped = {f.name: None for f in fields(record) if not persisted(f)}
+    payload = asdict(replace(record, **dropped))
+    for name in dropped:
+        del payload[name]
     _write_json(path, payload)
 
 

@@ -3,22 +3,29 @@
 One run owns its training set and pools and advances them single-threaded;
 every per-iteration quantity (class balance, validation FNR, the allocation
 it produced, shortfalls) lands in an :class:`IterationRecord` so trajectories
-are auditable after the fact. Sweeps execute independent seeds against the
-same immutable dataset bundle.
+are auditable after the fact.
+
+A run is a generator: each round yields its training job (training set,
+random source, warm-start model), is sent the trained model back, and the
+generator returns the :class:`RunRecord`. A sweep runs its seeds against the
+same immutable dataset bundle in lockstep stacks: every round, the models of
+all the stack's live seeds train in one :func:`poolal.learner.train_stack`
+call, while strategies, random streams and records stay per seed. The public
+``run_*`` functions drive a stack of one.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .core import ClassPools, DatasetBundle, RandomSource, Split, TrainingSet, class_balance, split_initial
 from .errors import ConfigurationError, PoolsExhaustedError, RunError, TrainingError
-from .learner import TrainedModel, predict_batch, train
+from .learner import LearnerConfig, TrainedModel, TrainJob, predict_batch, train_stack
 from .metrics import MetricsReport, confusion, report
 from .strategy import sample_fraction, subset_size
 
@@ -60,8 +67,8 @@ class IterationRecord:
 class RunRecord:
     """One complete run: config snapshot, per-iteration trail, final test metrics.
 
-    ``terminal_model`` rides along for checkpointing but is not part of the
-    persisted record (see :func:`poolal.datafiles.save_run_record`).
+    ``terminal_model`` rides along for checkpointing; its field metadata
+    keeps it out of the record file (:func:`poolal.config.persisted`).
     """
 
     config: dict
@@ -77,7 +84,7 @@ class RunRecord:
     append_count: int
     stop_reason: str
     schema_version: int = 1
-    terminal_model: TrainedModel | None = field(default=None, repr=False, compare=False)
+    terminal_model: TrainedModel | None = field(default=None, repr=False, compare=False, metadata={"persisted": False})
 
 
 def evaluate_model(model: TrainedModel, split: Split, num_classes: int) -> MetricsReport:
@@ -141,18 +148,10 @@ def _terminal_record(
     )
 
 
-def run_active_learning(
-    bundle: DatasetBundle,
-    config: ExperimentConfig,
-    seed: int,
-    dataset_hash: str = "",
-) -> RunRecord:
-    """Execute one active-learning run to its stopping criterion.
-
-    All randomness derives from ``(seed, iteration)``, so two runs with the
-    same config and seed produce identical training-set trajectories, and a
-    change in iteration count leaves earlier iterations' draws untouched.
-    """
+def _active_learning_rounds(
+    bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str
+) -> Generator[TrainJob, TrainedModel, RunRecord]:
+    """One active-learning run: yields each round's training job, is sent its model, returns the record."""
     if config.arm != "al" or config.strategy is None:
         raise ConfigurationError("run_active_learning needs an 'al' config with a strategy")
     strategy = config.strategy
@@ -167,13 +166,7 @@ def run_active_learning(
     while True:
         j = ts.iteration
         try:
-            model = train(
-                config.learner,
-                ts,
-                bundle.validation,
-                rng.derive("train", j),
-                initial=model if config.learner.warm_start else None,
-            )
+            model = yield ts, rng.derive("train", j), model if config.learner.warm_start else None
         except TrainingError as e:
             raise TrainingError(f"iteration {j}: {e}") from e
         rec = _round_record(bundle, ts, model)
@@ -216,6 +209,84 @@ def run_active_learning(
     )
 
 
+def _supervised_rounds(
+    bundle: DatasetBundle, fraction: float, config: ExperimentConfig, seed: int, dataset_hash: str
+) -> Generator[TrainJob, TrainedModel, RunRecord]:
+    """One supervised run as a generator of its single training job; returns the record."""
+    rng = RandomSource(seed)
+    subset = sample_fraction(bundle.train, fraction, rng.derive("sl_sample"))
+    ts = TrainingSet.from_rows(bundle.train, subset, bundle.num_classes)
+    model = yield ts, rng.derive("train", 0), None
+    rec = _round_record(bundle, ts, model)
+    return _terminal_record(
+        bundle, config, seed, dataset_hash, [rec], model, ts, 0, f"supervised fraction {fraction:g}"
+    )
+
+
+def _rounds(
+    bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str
+) -> Generator[TrainJob, TrainedModel, RunRecord]:
+    """The run generator of the configured arm."""
+    if config.arm == "sl":
+        assert config.sl_fraction is not None
+        return _supervised_rounds(bundle, config.sl_fraction, config, seed, dataset_hash)
+    return _active_learning_rounds(bundle, config, seed, dataset_hash)
+
+
+def _run_stack(
+    learner: LearnerConfig, validation: Split, runs: Sequence[Generator[TrainJob, TrainedModel, RunRecord]]
+) -> list[RunRecord | Exception | None]:
+    """Advance runs round by round, training each round's models with one :func:`train_stack` call.
+
+    Each slot holds its run's record, or the exception that ended it. A
+    failure also drops the runs after it, whose slots stay None: a sweep
+    reports its first failing seed, as if the seeds had run one by one.
+    """
+    out: list = [None] * len(runs)
+    replies: list = [None] * len(runs)  # None starts a run; then it is sent its model or its training error
+    live = range(len(runs))
+    while live:
+        jobs = {}
+        for i in live:
+            reply = replies[i]
+            try:
+                jobs[i] = runs[i].throw(reply) if isinstance(reply, Exception) else runs[i].send(reply)
+            except StopIteration as stop:
+                out[i] = stop.value
+            except Exception as e:
+                out[i] = e
+                break
+        live = list(jobs)
+        for i, reply in zip(live, train_stack(learner, list(jobs.values()), validation)):
+            replies[i] = reply
+    return out
+
+
+def _run_alone(
+    bundle: DatasetBundle, config: ExperimentConfig, run: Generator[TrainJob, TrainedModel, RunRecord]
+) -> RunRecord:
+    """Drive one run as a stack of one; its failure is raised as is."""
+    (result,) = _run_stack(config.learner, bundle.validation, [run])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def run_active_learning(
+    bundle: DatasetBundle,
+    config: ExperimentConfig,
+    seed: int,
+    dataset_hash: str = "",
+) -> RunRecord:
+    """Execute one active-learning run to its stopping criterion.
+
+    All randomness derives from ``(seed, iteration)``, so two runs with the
+    same config and seed produce identical training-set trajectories, and a
+    change in iteration count leaves earlier iterations' draws untouched.
+    """
+    return _run_alone(bundle, config, _active_learning_rounds(bundle, config, seed, dataset_hash))
+
+
 def run_supervised(
     bundle: DatasetBundle,
     fraction: float,
@@ -224,26 +295,23 @@ def run_supervised(
     dataset_hash: str = "",
 ) -> RunRecord:
     """One supervised round on a stratified fraction of the train split."""
-    rng = RandomSource(seed)
-    subset = sample_fraction(bundle.train, fraction, rng.derive("sl_sample"))
-    ts = TrainingSet.from_rows(bundle.train, subset, bundle.num_classes)
-    model = train(config.learner, ts, bundle.validation, rng.derive("train", 0))
-    rec = _round_record(bundle, ts, model)
-    return _terminal_record(
-        bundle, config, seed, dataset_hash, [rec], model, ts, 0, f"supervised fraction {fraction:g}"
-    )
+    return _run_alone(bundle, config, _supervised_rounds(bundle, fraction, config, seed, dataset_hash))
 
 
 def run_one(bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str = "") -> RunRecord:
     """Dispatch a single seed to the configured arm."""
-    if config.arm == "sl":
-        assert config.sl_fraction is not None
-        return run_supervised(bundle, config.sl_fraction, config, seed, dataset_hash)
-    return run_active_learning(bundle, config, seed, dataset_hash)
+    return _run_alone(bundle, config, _rounds(bundle, config, seed, dataset_hash))
 
 
-def _run_one_star(args: tuple[DatasetBundle, ExperimentConfig, int, str]) -> RunRecord:
-    return run_one(*args)
+def _run_one_star(args: tuple[DatasetBundle, ExperimentConfig, Sequence[int], str]) -> list[RunRecord]:
+    """Run a stack of seeds in lockstep; a failing seed raises a RunError that names it."""
+    bundle, config, seeds, dataset_hash = args
+    runs = [_rounds(bundle, config, seed, dataset_hash) for seed in seeds]
+    results = _run_stack(config.learner, bundle.validation, runs)
+    for seed, result in zip(seeds, results):
+        if isinstance(result, Exception):
+            raise RunError(f"seed {seed} failed: {result}") from result
+    return results
 
 
 def run_sweep(
@@ -255,8 +323,12 @@ def run_sweep(
 ) -> list[RunRecord]:
     """Run every seed independently; results come back in seed order.
 
-    Seeds share only the immutable bundle, so ``jobs > 1`` fans them out to
-    worker processes without changing any result.
+    The seeds are cut into ``min(jobs, len(seeds))`` contiguous stacks, and
+    each stack runs in lockstep: its seeds advance round by round and train
+    as one stack (:func:`poolal.learner.train_stack`). Strategies, random
+    streams and records stay per seed, and seeds share only the immutable
+    bundle, so neither ``jobs`` nor the stacking changes any result. With
+    more than one stack, each runs in its own worker process.
     """
     if not seeds:
         raise ConfigurationError("run_sweep needs at least one seed")
@@ -266,21 +338,18 @@ def run_sweep(
         raise ConfigurationError(
             f"sl_fraction must select at least one of the {len(bundle.train)} train rows, got {config.sl_fraction!r}"
         )
-    tasks = [(bundle, config, int(s), dataset_hash) for s in seeds]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            futures = [(task[2], pool.submit(_run_one_star, task)) for task in tasks]
-            out = []
-            for seed, fut in futures:
-                try:
-                    out.append(fut.result())
-                except Exception as e:
-                    raise RunError(f"seed {seed} failed: {e}") from e
-            return out
+    stacks = np.array_split(np.arange(len(seeds)), min(max(jobs, 1), len(seeds)))  # the longer stacks first
+    tasks = [(bundle, config, [int(seeds[i]) for i in stack], dataset_hash) for stack in stacks]
+    if len(tasks) == 1:
+        return _run_one_star(tasks[0])
     out = []
-    for task in tasks:
-        try:
-            out.append(_run_one_star(task))
-        except Exception as e:
-            raise RunError(f"seed {task[2]} failed: {e}") from e
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        futures = [pool.submit(_run_one_star, task) for task in tasks]
+        for task, fut in zip(tasks, futures):
+            try:
+                out.extend(fut.result())
+            except RunError:
+                raise
+            except Exception as e:
+                raise RunError(f"seeds {task[2]} failed: {e}") from e
     return out

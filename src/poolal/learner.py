@@ -7,13 +7,19 @@ gradient-only; the loss is computed once per epoch, on the validation set
 alone, for early stopping. :func:`gradient_check` verifies the step's
 analytic gradients against central finite differences.
 
+:func:`train_stack` trains several jobs (one per seed of a sweep) as one
+stack: the parameters carry a leading stack axis, and each numpy call of an
+SGD step serves every job whose full batches line up. :func:`train` is its
+one-job case, so there is one implementation of the loop.
+
 All math is float64; training is single-threaded and bit-reproducible for
-a fixed :class:`~poolal.core.RandomSource`.
+a fixed :class:`~poolal.core.RandomSource`, stacked or alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +30,9 @@ __all__ = [
     "LearnerConfig",
     "EpochStats",
     "TrainedModel",
+    "TrainJob",
     "train",
+    "train_stack",
     "predict_proba",
     "predict",
     "predict_batch",
@@ -107,18 +115,22 @@ def _init_params(config: LearnerConfig, feature_dim: int, num_classes: int, gen:
 
 
 def _forward(kind: str, params: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """Hidden activations (None for the linear model) and logits, built in place."""
+    """Hidden activations (None for the linear model) and logits, built in place.
+
+    Leading axes stack independent models: ``(S, B, d)`` rows against
+    ``(S, d, I)`` weights and ``(S, I)`` biases give ``(S, B, I)`` logits.
+    """
     if kind == "softmax_linear":
         z = X @ params["W"]
-        z += params["b"]
+        z += params["b"][..., None, :]
         return None, z
     if kind != "mlp":
         raise ConfigurationError(f"unknown learner kind {kind!r}")
     h = X @ params["W1"]
-    h += params["b1"]
+    h += params["b1"][..., None, :]
     np.tanh(h, out=h)
     z = h @ params["W2"]
-    z += params["b2"]
+    z += params["b2"][..., None, :]
     return h, z
 
 
@@ -137,20 +149,32 @@ def _mean_cross_entropy(kind: str, params: dict[str, np.ndarray], X: np.ndarray,
     return float(np.mean(lse - z[np.arange(len(y)), y]))
 
 
-def _gradients(kind: str, params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
-    """Mean cross-entropy gradient over (X, y), formed in place in the logits; no loss."""
-    n = X.shape[0]
+def _gradients(kind: str, params: dict[str, np.ndarray], X: np.ndarray, Y: np.ndarray) -> dict[str, np.ndarray]:
+    """Mean cross-entropy gradient over (X, Y), formed in place in the logits; no loss.
+
+    ``Y`` holds one-hot targets shaped like the logits, or class labels.
+    Leading axes stack independent problems, as in :func:`_forward`.
+    """
     h, g = _forward(kind, params, X)
-    g -= g.max(axis=1, keepdims=True)
+    if Y.ndim < g.ndim:
+        Y = np.eye(g.shape[-1])[Y]
+    g -= g.max(axis=-1, keepdims=True)
     np.exp(g, out=g)
-    g /= g.sum(axis=1, keepdims=True)
-    g[np.arange(n), y] -= 1.0
-    g /= n
+    g /= g.sum(axis=-1, keepdims=True)
+    g -= Y
+    g /= X.shape[-2]
+    Xt = X.swapaxes(-1, -2)
     if h is None:
-        return {"W": X.T @ g, "b": g.sum(axis=0)}
-    gh = g @ params["W2"].T
+        return {"W": Xt @ g, "b": g.sum(axis=-2)}
+    gh = g @ params["W2"].swapaxes(-1, -2)
     gh *= 1.0 - h * h
-    return {"W1": X.T @ gh, "b1": gh.sum(axis=0), "W2": h.T @ g, "b2": g.sum(axis=0)}
+    return {"W1": Xt @ gh, "b1": gh.sum(axis=-2), "W2": h.swapaxes(-1, -2) @ g, "b2": g.sum(axis=-2)}
+
+
+def _sgd_step(kind: str, params: dict[str, np.ndarray], X: np.ndarray, Y: np.ndarray, lr: float) -> None:
+    grads = _gradients(kind, params, X, Y)
+    for k in params:
+        params[k] -= lr * grads[k]
 
 
 def _check_initial(initial: TrainedModel, config: LearnerConfig, feature_dim: int, num_classes: int) -> None:
@@ -167,6 +191,135 @@ def _check_initial(initial: TrainedModel, config: LearnerConfig, feature_dim: in
         )
 
 
+# One training job: the training set, its random source and the warm-start model or None.
+TrainJob = tuple[TrainingSet, RandomSource, TrainedModel | None]
+
+
+@dataclass
+class _Fit:
+    """One job of a stack while it trains."""
+
+    job: int
+    X: np.ndarray
+    y: np.ndarray
+    num_classes: int
+    gen: np.random.Generator
+    params: dict[str, np.ndarray]
+    log: list[EpochStats] = field(default_factory=list)
+    best_val: float = np.inf
+    best_params: dict[str, np.ndarray] = field(default_factory=dict)
+    best_epoch: int = 0
+    bad_epochs: int = 0
+
+
+def _start_fit(config: LearnerConfig, job: int, train_job: TrainJob, validation: Split) -> _Fit:
+    train_set, rng, initial = train_job
+    if train_set.size == 0:
+        raise TrainingError("training set is empty")
+    if not len(validation):
+        raise TrainingError("validation set is empty")
+    X, y = samples_to_arrays(train_set.rows, train_set.split)
+    feature_dim = X.shape[1]
+    num_classes = len(train_set.counts)
+    if validation.X.shape[1] != feature_dim:
+        raise TrainingError(f"validation feature dim {validation.X.shape[1]} != train feature dim {feature_dim}")
+    gen = rng.generator()
+    if initial is not None:
+        _check_initial(initial, config, feature_dim, num_classes)
+        params = initial.params
+    else:
+        params = _init_params(config, feature_dim, num_classes, gen)
+    return _Fit(job, X, y, num_classes, gen, params)
+
+
+def train_stack(
+    config: LearnerConfig, jobs: Sequence[TrainJob], validation: Split
+) -> list[TrainedModel | TrainingError | ConfigurationError]:
+    """Train one model per job, with each numpy call of an SGD step serving the whole stack.
+
+    Each job's model is bit-identical to what :func:`train` gives it alone:
+    the job draws its own permutation each epoch from its random source and
+    keeps its own validation loss, patience and best parameters. The jobs
+    must share the feature and class dimensions.
+
+    Each epoch, every job's shuffled rows and one-hot labels are gathered into
+    ``(S, n_max, d)`` and ``(S, n_max, I)`` buffers. The full batches that
+    every job has step as one ``(S, B, ·)`` batch; each job's remaining full
+    batches and its ragged tail then step alone, on its slice of the stacked
+    parameters. A job that stops early or fails leaves the stack; a failed
+    job's slot holds its error in place of a model.
+    """
+    out: list = [None] * len(jobs)
+    fits: list[_Fit] = []
+    for j, job in enumerate(jobs):
+        try:
+            fits.append(_start_fit(config, j, job, validation))
+        except (TrainingError, ConfigurationError) as e:
+            out[j] = e
+    if not fits:
+        return out
+
+    kind, lr, B = config.kind, config.learning_rate, config.batch_size
+    Xv, yv = validation.X, validation.y
+    num_classes, feature_dim = fits[0].num_classes, fits[0].X.shape[1]
+    n_max = max(len(f.y) for f in fits)
+    Xs = np.empty((len(fits), n_max, feature_dim))
+    Ys = np.empty((len(fits), n_max, num_classes))
+    eye = np.eye(num_classes)
+    P = {k: np.stack([f.params[k] for f in fits]) for k in PARAM_AXES[kind]}
+    done: list[_Fit] = []
+
+    for epoch in range(1, config.max_epochs + 1):
+        for s, f in enumerate(fits):
+            n = len(f.y)
+            order = f.gen.permutation(n)
+            np.take(f.X, order, axis=0, out=Xs[s, :n], mode="clip")
+            np.take(eye, f.y[order], axis=0, out=Ys[s, :n], mode="clip")
+        S = len(fits)
+        shared = min(len(f.y) for f in fits) // B * B
+        for a in range(0, shared, B):
+            _sgd_step(kind, P, Xs[:S, a : a + B], Ys[:S, a : a + B], lr)
+
+        keep = []
+        for s, f in enumerate(fits):
+            n = len(f.y)
+            params = {k: v[s] for k, v in P.items()}
+            for a in range(shared, n, B):
+                _sgd_step(kind, params, Xs[s, a : min(a + B, n)], Ys[s, a : min(a + B, n)], lr)
+
+            val_loss = _mean_cross_entropy(kind, params, Xv, yv)
+            if not np.isfinite(val_loss):
+                out[f.job] = TrainingError(f"non-finite loss at epoch {epoch} (training diverged)")
+                continue
+            f.log.append(EpochStats(val_loss=val_loss))
+            if val_loss < f.best_val:
+                f.best_val, f.best_epoch, f.bad_epochs = val_loss, epoch, 0
+                f.best_params = {k: v.copy() for k, v in params.items()}
+            else:
+                f.bad_epochs += 1
+                if f.bad_epochs >= config.patience:
+                    done.append(f)
+                    continue
+            keep.append(s)
+        if len(keep) < S:
+            fits = [fits[s] for s in keep]
+            P = {k: v[keep] for k, v in P.items()}
+            if not fits:
+                break
+
+    for f in done + fits:
+        out[f.job] = TrainedModel(
+            kind=config.kind,
+            feature_dim=feature_dim,
+            num_classes=num_classes,
+            params=f.best_params,
+            training_log=f.log,
+            stopped_epoch=len(f.log),
+            best_epoch=f.best_epoch,
+        )
+    return out
+
+
 def train(
     config: LearnerConfig,
     train_set: TrainingSet,
@@ -179,67 +332,12 @@ def train(
     Each epoch shuffles the training set with ``rng``'s stream; training
     stops at ``max_epochs`` or after ``patience`` consecutive epochs without
     a strict validation-loss improvement. The returned parameters are those
-    of the best-validation-loss epoch.
+    of the best-validation-loss epoch. This is :func:`train_stack` with one job.
     """
-    if train_set.size == 0:
-        raise TrainingError("training set is empty")
-    if not len(validation):
-        raise TrainingError("validation set is empty")
-
-    X, y = samples_to_arrays(train_set.rows, train_set.split)
-    Xv, yv = validation.X, validation.y
-    feature_dim = X.shape[1]
-    num_classes = len(train_set.counts)
-    if Xv.shape[1] != feature_dim:
-        raise TrainingError(f"validation feature dim {Xv.shape[1]} != train feature dim {feature_dim}")
-
-    gen = rng.generator()
-    if initial is not None:
-        _check_initial(initial, config, feature_dim, num_classes)
-        params = {k: v.copy() for k, v in initial.params.items()}
-    else:
-        params = _init_params(config, feature_dim, num_classes, gen)
-
-    n = train_set.size
-    log: list[EpochStats] = []
-    best_val = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
-    best_epoch = 0
-    bad_epochs = 0
-
-    kind, lr, batch_size = config.kind, config.learning_rate, config.batch_size
-    for epoch in range(1, config.max_epochs + 1):
-        order = gen.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            grads = _gradients(kind, params, X[idx], y[idx])
-            for k in params:
-                params[k] -= lr * grads[k]
-
-        val_loss = _mean_cross_entropy(kind, params, Xv, yv)
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"non-finite loss at epoch {epoch} (training diverged)")
-        log.append(EpochStats(val_loss=val_loss))
-
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = {k: v.copy() for k, v in params.items()}
-            best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.patience:
-                break
-
-    return TrainedModel(
-        kind=config.kind,
-        feature_dim=feature_dim,
-        num_classes=num_classes,
-        params=best_params,
-        training_log=log,
-        stopped_epoch=len(log),
-        best_epoch=best_epoch,
-    )
+    (model,) = train_stack(config, [(train_set, rng, initial)], validation)
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 def _check_features(model: TrainedModel, features: np.ndarray) -> np.ndarray:

@@ -499,6 +499,25 @@ class TestRunVerb:
         assert re.search(rf"\b{field}(\[\d+\])? must be", err), err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "top, learner_line, message",
+        [
+            ("bogus: 1", "", "unknown keys ['bogus']"),
+            ("", "batch_size: 64.5", "learner.batch_size must be an integer, got 64.5"),
+            ("sl_fraction: 0.5", "", "conflicting fields"),
+        ],
+    )
+    def test_config_error_names_the_config_file(self, tmp_path, capsys, top, learner_line, message):
+        base = {k: v for k, v in RUN_CFG.items() if k != "learner"}
+        text = yaml.safe_dump(dict(base, dataset="data", output_dir=str(tmp_path / "o")))
+        text += f"{top}\nlearner:\n  kind: softmax_linear\n  {learner_line}\n"
+        path = tmp_path / "bad.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert message in err
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
 

@@ -6,6 +6,7 @@ import pytest
 from dataclasses import asdict
 
 from conftest import make_split, record_payload
+from poolal import engine
 from poolal.config import ExperimentConfig, decode
 from poolal.core import ClassPools, RandomSource, split_initial
 from poolal.engine import (
@@ -17,7 +18,7 @@ from poolal.engine import (
     run_supervised,
     run_sweep,
 )
-from poolal.errors import ConfigurationError, RunError
+from poolal.errors import ConfigurationError, RunError, TrainingError
 from poolal.reporting import aggregate_records
 from poolal.strategy import allocate_fnr
 from poolal.synthgen import GeneratorSpec, generate
@@ -330,6 +331,47 @@ class TestSweep:
         cfg = al_config(per_class_initial=5, budget=5, max_iterations=2, learner=diverging)
         with pytest.raises(RunError, match="seed 9"):
             run_sweep(bundle, cfg, [9])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diverging_seed_in_a_stack_names_seed_iteration_and_epoch(self, jobs):
+        bundle = small_bundle(train_counts=(5, 5), overlap=())
+        diverging = {**FAST_LEARNER, "learning_rate": 1e308, "init_scale": 1e200}
+        cfg = al_config(per_class_initial=5, budget=5, max_iterations=2, learner=diverging)
+        with pytest.raises(RunError, match=r"^seed 4 failed: iteration 0: non-finite loss at epoch \d+ \(training diverged\)$"):
+            run_sweep(bundle, cfg, [4, 9, 11], jobs=jobs)
+
+    def test_a_stack_reports_its_first_failing_seed_in_seed_order(self, monkeypatch):
+        # seed 9 fails first in time (round 0), seed 4 later (round 2); run one by one, seed 4 fails first
+        train_stack = engine.train_stack
+
+        def failing(config, jobs, validation):
+            models = train_stack(config, jobs, validation)
+            failures = {(9, 0), (4, 2)}
+            return [
+                TrainingError("injected") if (rng.seed, ts.iteration) in failures else model
+                for (ts, rng, _), model in zip(jobs, models)
+            ]
+
+        monkeypatch.setattr(engine, "train_stack", failing)
+        with pytest.raises(RunError, match=r"^seed 4 failed: iteration 2: injected$"):
+            run_sweep(small_bundle(), al_config(max_iterations=3), [4, 9])
+
+    @pytest.mark.parametrize("kind", ["softmax_linear", "mlp"])
+    def test_stacks_give_the_records_of_seeds_run_alone(self, kind):
+        # short pools make the training sets of the seeds ragged; patience 3 stops them at different epochs
+        bundle = small_bundle(train_counts=(26, 60, 200))
+        learner = {**FAST_LEARNER, "kind": kind, "hidden_units": 6, "warm_start": True}
+        cfg = al_config(per_class_initial=20, budget=30, max_iterations=4, learner=learner)
+        seeds = [0, 1, 2, 3, 4]
+        one_stack = run_sweep(bundle, cfg, seeds, dataset_hash="h", jobs=1)
+        two_stacks = run_sweep(bundle, cfg, seeds, dataset_hash="h", jobs=2)  # stacks of 3 and 2
+        alone = [run_one(bundle, cfg, seed, dataset_hash="h") for seed in seeds]
+        payloads = [record_payload(r) for r in alone]
+        assert [record_payload(r) for r in one_stack] == payloads
+        assert [record_payload(r) for r in two_stacks] == payloads
+        assert len({r.total_labeled for r in alone}) > 1
+        assert len({it.learner_stopped_epoch for r in alone for it in r.iterations}) > 1
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):

@@ -20,6 +20,7 @@ from poolal.learner import (
     predict_batch,
     predict_proba,
     train,
+    train_stack,
 )
 
 
@@ -321,3 +322,54 @@ class TestTrainMatchesReference:
         assert sorted(model.params) == sorted(params)
         for k in params:
             assert model.params[k].tobytes() == params[k].tobytes()
+
+
+def assert_same_model(a, b):
+    assert (a.best_epoch, a.stopped_epoch) == (b.best_epoch, b.stopped_epoch)
+    assert [e.val_loss for e in a.training_log] == [e.val_loss for e in b.training_log]
+    assert sorted(a.params) == sorted(b.params)
+    for k in a.params:
+        assert a.params[k].tobytes() == b.params[k].tobytes()
+
+
+class TestTrainStack:
+    """``train_stack`` trains its jobs together; each model must be the one ``train`` gives alone."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "softmax_linear", "learning_rate": 2.0, "batch_size": 16, "max_epochs": 40, "patience": 2},
+            {"kind": "mlp", "hidden_units": 6, "learning_rate": 3.0, "batch_size": 16, "max_epochs": 40, "patience": 2, "init_scale": 0.5},
+        ],
+    )
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_equals_per_job_train(self, kwargs, warm):
+        cfg = LearnerConfig(**kwargs, warm_start=warm)
+        val = noisy_blobs(60, seed=2)
+        # ragged sizes: 101 and 70 rows share 4 full batches, 9 rows are less than one batch
+        sets = [every_row(noisy_blobs(n, seed=s), 3) for n, s in ((101, 1), (70, 3), (9, 4))]
+        initials = [train(cfg, ts, val, RandomSource(50 + i)) if warm else None for i, ts in enumerate(sets)]
+        jobs = [(ts, RandomSource(10 + i), initial) for i, (ts, initial) in enumerate(zip(sets, initials))]
+
+        stacked = train_stack(cfg, jobs, val)
+        alone = [train(cfg, ts, val, rng, initial=initial) for ts, rng, initial in jobs]
+        for a, b in zip(alone, stacked):
+            assert_same_model(a, b)
+        assert len({m.stopped_epoch for m in alone}) > 1  # the jobs left the stack at different epochs
+        assert all(m.stopped_epoch < cfg.max_epochs for m in alone)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_jobs_hold_their_error_and_the_others_train_on(self):
+        cfg = LearnerConfig(learning_rate=0.1, batch_size=16, max_epochs=5)
+        val = noisy_blobs(30, seed=2)
+        gen = np.random.default_rng(0)
+        huge = Split(gen.standard_normal((40, 4)) * 1e200, np.arange(40) % 3, [f"h{i}" for i in range(40)])
+        fine = (every_row(noisy_blobs(40, seed=1), 3), RandomSource(1), None)
+        empty = (TrainingSet.from_rows(huge, np.arange(0), 3), RandomSource(2), None)
+        diverging = (every_row(huge, 3), RandomSource(3), None)
+
+        kept, no_rows, diverged = train_stack(cfg, [fine, empty, diverging], val)
+        assert_same_model(kept, train(cfg, fine[0], val, fine[1]))
+        assert isinstance(no_rows, TrainingError) and str(no_rows) == "training set is empty"
+        assert isinstance(diverged, TrainingError)
+        assert str(diverged) == "non-finite loss at epoch 1 (training diverged)"
