@@ -65,6 +65,8 @@ class DatasetBundle:
 
     Label ``i`` is class ``class_names[i]``. Splits are disjoint by sample id;
     every label is a registered class; validation and test are non-empty.
+    No sample id or class name holds a line break (``\n`` or ``\r``): the
+    dataset CSVs hold one row per line.
     Safe to share read-only across concurrently executing runs.
     """
 
@@ -89,6 +91,9 @@ class DatasetBundle:
             raise ConfigurationError(f"need at least 2 classes, got {len(class_names)}")
         if len(set(class_names)) < len(class_names):
             raise ConfigurationError(f"class names must be distinct, got {list(class_names)}")
+        for name in class_names:
+            if "\n" in name or "\r" in name:
+                raise ConfigurationError(f"class name {name!r} holds a line break")
         if feature_dim < 1:
             raise ConfigurationError(f"feature_dim must be >= 1, got {feature_dim}")
 
@@ -105,6 +110,10 @@ class DatasetBundle:
             if unregistered.any():
                 row = int(np.argmax(unregistered))
                 raise ConfigurationError(f"{split_name}: sample {split.id_of(row)!r} has unregistered label {y[row]}")
+            line_break = (np.char.find(split.ids, "\n") >= 0) | (np.char.find(split.ids, "\r") >= 0)
+            if line_break.any():
+                row = int(np.argmax(line_break))
+                raise ConfigurationError(f"{split_name}: sample id {split.id_of(row)!r} holds a line break")
 
         ids = np.concatenate([split.ids for _, split in splits])
         _, first = np.unique(ids, return_index=True)

@@ -90,12 +90,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, inner quotes doubled, when it holds a comma, a quote or a line break.
+
+    For every id and class name a bundle admits, that is how :mod:`csv` quotes it.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_split_csv(path: Path, split: Split, class_names: tuple[str, ...], feature_dim: int) -> None:
+    """Columns formatted apart, then streamed one line at a time: ``repr`` round-trips every float."""
+    names = [_csv_cell(n) for n in class_names]
+    columns = [map(repr, column) for column in split.X.T.tolist()]
+    cells = zip(map(_csv_cell, split.ids.tolist()), map(names.__getitem__, split.y.tolist()), *columns)
     with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["id", "label"] + [f"f{i}" for i in range(feature_dim)])
-        for sample_id, label, features in zip(split.ids.tolist(), split.y.tolist(), split.X.tolist()):
-            writer.writerow([sample_id, class_names[label], *map(repr, features)])
+        f.write(",".join(["id", "label"] + [f"f{i}" for i in range(feature_dim)]) + "\n")
+        f.writelines(",".join(row) + "\n" for row in cells)
 
 
 def _read_json(cls: type, path: Path | str, what: str) -> Any:
@@ -119,7 +131,9 @@ def _write_json(path: Path | str, payload: dict) -> None:
 def _hash_csv_files(out_dir: Path) -> str:
     h = hashlib.sha256()
     for _, fname in SPLIT_FILES:
-        h.update((out_dir / fname).read_bytes())
+        with (out_dir / fname).open("rb") as f:
+            while piece := f.read(1 << 16):  # small pieces, as in _parse_rows
+                h.update(piece)
     return h.hexdigest()[:12]
 
 
@@ -143,15 +157,73 @@ def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: Ge
 
 
 def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> Split:
+    """One split CSV, parsed by numpy's C reader where it reads the file as :mod:`csv` does.
+
+    Anywhere else :func:`_scan_split_csv` reads it again row by row: it
+    accepts what the reader always accepted and names the first faulty line.
+    """
+    rows = _parse_rows(path, name_to_index, feature_dim)
+    if rows is None:
+        return _scan_split_csv(path, name_to_index, feature_dim)
+    # copies, not views that would keep the records and their id objects alive;
+    # from a list, the ids get the width a list gives
+    return Split(rows["X"].copy(), rows["label"].copy(), rows["id"].tolist())
+
+
+def _parse_rows(path: Path, name_to_index: dict[str, int], feature_dim: int) -> np.ndarray | None:
+    """Check the header, then parse the rows below it as ``(id, label, X)`` records with numpy's C reader.
+
+    Returns None where that reader may differ from :mod:`csv`, or where the
+    row-by-row reader must name the faulty line: on a carriage return, a
+    blank line (which the C reader skips), a line break inside quotes (one
+    row, two lines), a row of the wrong length, an unknown class name, or a
+    cell the C reader cannot parse as a float but ``float`` can (``1_0``).
+    """
+    try:
+        with path.open("r", newline="", encoding="utf-8") as f:
+            header = next(csv.reader(f), None) or []
+            # the length first: a huge manifest feature_dim must not build its column names
+            if len(header) != 2 + feature_dim or header != ["id", "label"] + [f"f{i}" for i in range(feature_dim)]:
+                raise ConfigurationError(f"{path}: unexpected header {header!r}")
+            # read in small pieces: a freed text the size of the file leaves a hole in the heap below
+            # the parsed columns, which the process keeps and the workers of a parallel sweep inherit
+            n, last = 0, "\n"  # lines below the header; the character before the piece
+            while piece := f.read(1 << 16):
+                if "\r" in piece or "\n\n" in piece or last + piece[0] == "\n\n":
+                    return None
+                n += piece.count("\n")
+                last = piece[-1]
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {e}") from None
+    n += last != "\n"  # the last line may lack its newline
+    row_type = np.dtype([("id", object), ("label", np.int64), ("X", np.float64, (feature_dim,))])
+    if not n:  # loadtxt warns on a file without rows
+        return np.empty(0, dtype=row_type)
+    try:
+        rows = np.loadtxt(
+            path,
+            dtype=row_type,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            skiprows=1,
+            encoding="utf-8",
+            ndmin=1,
+            converters={1: name_to_index.__getitem__},  # loadtxt turns its KeyError into a ValueError
+        )
+    except ValueError:
+        return None
+    return rows if len(rows) == n else None
+
+
+def _scan_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> Split:
+    """The split read row by row with :mod:`csv` and ``float``; the first faulty row raises, naming its line."""
     ids: list[str] = []
     labels = array("q")
     features = array("d")
     with path.open("r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        header = next(reader, None) or []
-        # the length first: a huge manifest feature_dim must not build its column names
-        if len(header) != 2 + feature_dim or header != ["id", "label"] + [f"f{i}" for i in range(feature_dim)]:
-            raise ConfigurationError(f"{path}: unexpected header {header!r}")
+        next(reader)  # the header, checked by _parse_rows
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 2 + feature_dim:
                 raise ConfigurationError(f"{path}:{lineno}: expected {2 + feature_dim} columns, got {len(row)}")
@@ -164,8 +236,7 @@ def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int)
                 raise ConfigurationError(f"{path}:{lineno}: {e}") from None
             ids.append(row[0])
             labels.append(label)
-    X = np.frombuffer(features, dtype=np.float64).reshape(len(ids), feature_dim)
-    return Split(X, np.frombuffer(labels, dtype=np.int64), ids)
+    return Split(np.frombuffer(features, dtype=np.float64).reshape(len(ids), feature_dim), labels, ids)
 
 
 def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, Manifest]:

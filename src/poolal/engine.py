@@ -16,7 +16,6 @@ call, while strategies, random streams and records stay per seed. The public
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Generator, Sequence
 
@@ -342,6 +341,9 @@ def run_sweep(
     tasks = [(bundle, config, [int(seeds[i]) for i in stack], dataset_hash) for stack in stacks]
     if len(tasks) == 1:
         return _run_one_star(tasks[0])
+    # imported here: it pulls in multiprocessing, socket and subprocess, which serial commands never use
+    from concurrent.futures import ProcessPoolExecutor
+
     out = []
     with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         futures = [pool.submit(_run_one_star, task) for task in tasks]

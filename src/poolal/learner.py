@@ -200,8 +200,8 @@ class _Fit:
     """One job of a stack while it trains."""
 
     job: int
-    X: np.ndarray
-    y: np.ndarray
+    rows: np.ndarray
+    split: Split
     num_classes: int
     gen: np.random.Generator
     params: dict[str, np.ndarray]
@@ -218,8 +218,7 @@ def _start_fit(config: LearnerConfig, job: int, train_job: TrainJob, validation:
         raise TrainingError("training set is empty")
     if not len(validation):
         raise TrainingError("validation set is empty")
-    X, y = samples_to_arrays(train_set.rows, train_set.split)
-    feature_dim = X.shape[1]
+    feature_dim = train_set.split.X.shape[1]
     num_classes = len(train_set.counts)
     if validation.X.shape[1] != feature_dim:
         raise TrainingError(f"validation feature dim {validation.X.shape[1]} != train feature dim {feature_dim}")
@@ -229,7 +228,7 @@ def _start_fit(config: LearnerConfig, job: int, train_job: TrainJob, validation:
         params = initial.params
     else:
         params = _init_params(config, feature_dim, num_classes, gen)
-    return _Fit(job, X, y, num_classes, gen, params)
+    return _Fit(job, train_set.rows, train_set.split, num_classes, gen, params)
 
 
 def train_stack(
@@ -242,8 +241,9 @@ def train_stack(
     keeps its own validation loss, patience and best parameters. The jobs
     must share the feature and class dimensions.
 
-    Each epoch, every job's shuffled rows and one-hot labels are gathered into
-    ``(S, n_max, d)`` and ``(S, n_max, I)`` buffers. The full batches that
+    Each epoch, every job's shuffled rows and one-hot labels are gathered
+    straight from its split into ``(S, n_max, d)`` and ``(S, n_max, I)``
+    buffers, so a job's rows are held once. The full batches that
     every job has step as one ``(S, B, ·)`` batch; each job's remaining full
     batches and its ragged tail then step alone, on its slice of the stacked
     parameters. A job that stops early or fails leaves the stack; a failed
@@ -261,8 +261,8 @@ def train_stack(
 
     kind, lr, B = config.kind, config.learning_rate, config.batch_size
     Xv, yv = validation.X, validation.y
-    num_classes, feature_dim = fits[0].num_classes, fits[0].X.shape[1]
-    n_max = max(len(f.y) for f in fits)
+    num_classes, feature_dim = fits[0].num_classes, fits[0].split.X.shape[1]
+    n_max = max(len(f.rows) for f in fits)
     Xs = np.empty((len(fits), n_max, feature_dim))
     Ys = np.empty((len(fits), n_max, num_classes))
     eye = np.eye(num_classes)
@@ -271,18 +271,18 @@ def train_stack(
 
     for epoch in range(1, config.max_epochs + 1):
         for s, f in enumerate(fits):
-            n = len(f.y)
-            order = f.gen.permutation(n)
-            np.take(f.X, order, axis=0, out=Xs[s, :n], mode="clip")
-            np.take(eye, f.y[order], axis=0, out=Ys[s, :n], mode="clip")
+            n = len(f.rows)
+            rows = f.rows[f.gen.permutation(n)]
+            np.take(f.split.X, rows, axis=0, out=Xs[s, :n], mode="clip")
+            np.take(eye, f.split.y[rows], axis=0, out=Ys[s, :n], mode="clip")
         S = len(fits)
-        shared = min(len(f.y) for f in fits) // B * B
+        shared = min(len(f.rows) for f in fits) // B * B
         for a in range(0, shared, B):
             _sgd_step(kind, P, Xs[:S, a : a + B], Ys[:S, a : a + B], lr)
 
         keep = []
         for s, f in enumerate(fits):
-            n = len(f.y)
+            n = len(f.rows)
             params = {k: v[s] for k, v in P.items()}
             for a in range(shared, n, B):
                 _sgd_step(kind, params, Xs[s, a : min(a + B, n)], Ys[s, a : min(a + B, n)], lr)

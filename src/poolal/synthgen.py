@@ -126,7 +126,7 @@ def _generate_split(
             blocks.append(means[mean_class] + sigma * gen.standard_normal((count, spec.feature_dim)))
     X = np.concatenate(blocks)
     y = np.repeat(np.arange(len(per_class_counts)), per_class_counts)
-    return Split(X, y, np.char.mod(f"{split}-%06d", np.arange(len(X))))
+    return Split(X, y, [f"{split}-{i:06d}" for i in range(len(X))])
 
 
 def generate(spec: GeneratorSpec) -> DatasetBundle:

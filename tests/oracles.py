@@ -7,6 +7,7 @@ cannot hide in its own verification.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -132,3 +133,41 @@ def reference_sgd(kind, X, y, Xv, yv, gen, *, learning_rate, batch_size, max_epo
             if bad_epochs >= patience:
                 break
     return best_params, log, best_epoch, len(log)
+
+
+def reference_write_split_csv(path, ids, labels, X, class_names):
+    """One dataset split CSV as first written: :mod:`csv` quoting, ``repr`` floats, one row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["id", "label"] + [f"f{i}" for i in range(X.shape[1])])
+        for sample_id, label, features in zip(ids, labels, X.tolist()):
+            writer.writerow([sample_id, class_names[label], *map(repr, features)])
+
+
+def reference_read_split_csv(path, class_names, feature_dim):
+    """One split CSV as first read: :mod:`csv` rows, ``float`` cells, one row at a time.
+
+    Returns ``(X, y, ids)`` with ``ids`` as a ``<U`` array; a faulty file
+    raises ``ValueError`` with the message the reader gave, ``path:line:``
+    first for a faulty row.
+    """
+    name_to_index = {name: i for i, name in enumerate(class_names)}
+    ids, labels, features = [], [], []
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        header = next(reader, None) or []
+        if header != ["id", "label"] + [f"f{i}" for i in range(feature_dim)]:
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2 + feature_dim:
+                raise ValueError(f"{path}:{lineno}: expected {2 + feature_dim} columns, got {len(row)}")
+            if row[1] not in name_to_index:
+                raise ValueError(f"{path}:{lineno}: unknown class name {row[1]!r}")
+            try:
+                features.append([float(cell) for cell in row[2:]])
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from None
+            ids.append(row[0])
+            labels.append(name_to_index[row[1]])
+    X = np.array(features, dtype=np.float64).reshape(len(ids), feature_dim)
+    return X, np.array(labels, dtype=np.int64), np.asarray(ids, dtype=str)

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,9 +15,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_read_split_csv
 from poolal.cli import main
 from poolal.config import ExperimentConfig
 from poolal.datafiles import (
+    SPLIT_FILES,
     load_model,
     load_run_record,
     read_dataset,
@@ -346,6 +351,11 @@ class TestIngestFaults:
         path.write_text("".join(lines))
         self._run_fails(run_cfg_file, capsys, f"{path}:4: could not convert string to float: 'abc'")
 
+    def test_non_utf8_file_names_path(self, run_cfg_file, dataset_dir, capsys):
+        path = dataset_dir / "train.csv"
+        path.write_bytes(path.read_bytes().replace(b"train-000003", b"train-\xff00003", 1))
+        self._run_fails(run_cfg_file, capsys, f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
     def test_malformed_manifest_json(self, run_cfg_file, dataset_dir, capsys):
         (dataset_dir / "manifest.json").write_text("{not json")
         self._run_fails(run_cfg_file, capsys, "manifest.json: not valid JSON")
@@ -379,6 +389,100 @@ class TestIngestFaults:
         self._run_fails(
             run_cfg_file, capsys, "val.csv: class counts [30, 30, 30] differ from the manifest's [31, 29, 30]"
         )
+
+
+def _edit_row(cells_edit):
+    """An edit of ``train.csv``'s line 4, given as a function of its cells."""
+
+    def edit(dataset_dir):
+        path = dataset_dir / "train.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = ",".join(cells_edit(lines[3].rstrip("\n").split(","))) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+    return edit
+
+
+def _blank_line(dataset_dir):
+    path = dataset_dir / "train.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_bytes("".join(lines[:3] + ["\n"] + lines[3:]).encode("utf-8"))
+
+
+def _crlf(dataset_dir):
+    for fname in ("train.csv", "val.csv", "test.csv"):
+        path = dataset_dir / fname
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+def _header_only_val(dataset_dir):
+    path = dataset_dir / "val.csv"
+    path.write_text(path.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
+    _edit_manifest(dataset_dir, lambda m: m["counts"].update(validation=[0, 0, 0]))
+
+
+class TestIngestEdgeCases:
+    """Each edited dataset either loads as the reference reader reads it, or ``run`` exits 2 with one ``error:`` line.
+
+    The manifest's hash is dropped first, so the edit reaches the CSV reader.
+    ``expected`` is None for a dataset that loads, or the error, where
+    ``{path}`` is the edited ``train.csv``.
+    """
+
+    @pytest.mark.filterwarnings("error")  # no numpy warning may reach the user
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            pytest.param(_blank_line, "{path}:4: expected 6 columns, got 0", id="blank-line"),
+            pytest.param(_edit_row(lambda c: c + ["0.5"]), "{path}:4: expected 6 columns, got 7", id="extra-column"),
+            pytest.param(_edit_row(lambda c: c[:-1]), "{path}:4: expected 6 columns, got 5", id="missing-column"),
+            pytest.param(
+                _edit_row(lambda c: c[:1] + ["bogus"] + c[2:]), "{path}:4: unknown class name 'bogus'", id="unknown-class"
+            ),
+            # float() reads "1_0" as 10.0, and so does the reader
+            pytest.param(_edit_row(lambda c: c[:2] + ["1_0"] + c[3:]), None, id="underscore-digits"),
+            pytest.param(_edit_row(lambda c: c[:2] + [f" {c[2]} "] + c[3:]), None, id="spaced-number"),
+            pytest.param(_edit_row(lambda c: ['"x,""y"" #z"'] + c[1:]), None, id="quoted-id"),
+            pytest.param(_crlf, None, id="crlf"),
+            pytest.param(
+                _edit_row(lambda c: ['"x\ny"'] + c[1:]), "train: sample id 'x\\ny' holds a line break", id="line-break-id"
+            ),
+            pytest.param(_header_only_val, "the validation and test splits must not be empty", id="header-only-val"),
+        ],
+    )
+    def test_loads_as_the_reference_or_exits_2(self, run_cfg_file, dataset_dir, capsys, edit, expected):
+        _edit_manifest(dataset_dir, lambda m: m.pop("dataset_hash"))
+        edit(dataset_dir)
+        rc = main(["run", "--config", str(run_cfg_file)])
+        err = capsys.readouterr().err
+        if expected is not None:
+            assert rc == 2 and err == f"error: {expected.format(path=dataset_dir / 'train.csv')}\n", err
+            return
+        assert rc == 0, err
+        bundle, _, manifest = read_dataset(dataset_dir)
+        for split_name, fname in SPLIT_FILES:
+            X, y, ids = reference_read_split_csv(dataset_dir / fname, manifest.classes, manifest.feature_dim)
+            split = getattr(bundle, split_name)
+            assert np.array_equal(split.X.view(np.int64), X.view(np.int64)) and np.array_equal(split.y, y)
+            assert split.ids.dtype == ids.dtype and split.ids.tolist() == ids.tolist()
+
+    @pytest.mark.parametrize(
+        "cells_edit, message",
+        [
+            # the class name with a NUL or a space added is another name
+            (lambda c: c[:1] + ["class_1\x00"] + c[2:], "unknown class name 'class_1\\x00'"),
+            (lambda c: c[:1] + ["class_1 "] + c[2:], "unknown class name 'class_1 '"),
+        ],
+    )
+    def test_errors_match_the_reference_reader(self, dataset_dir, cells_edit, message):
+        """The reader's ``path:line`` errors are the reference reader's, word for word."""
+        path = dataset_dir / "train.csv"
+        _edit_row(cells_edit)(dataset_dir)
+        with pytest.raises(ValueError) as reference:
+            reference_read_split_csv(path, json.loads((dataset_dir / "manifest.json").read_text())["classes"], 4)
+        with pytest.raises(ConfigurationError) as got:
+            read_dataset(dataset_dir)
+        assert str(got.value) == str(reference.value) == f"{path}:4: {message}"
 
 
 @pytest.fixture(scope="module")
@@ -810,3 +914,12 @@ class TestCheckpointFile:
         loaded = load_model(tmp_path / "model.json")
         assert loaded.best_epoch == 2
         assert all(np.array_equal(loaded.params[k], v) for k, v in model.params.items())
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """Only a sweep with more than one stack needs worker processes; a serial command must not pay their import."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, poolal.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -220,3 +220,15 @@ class TestDatasetBundle:
         empty = make_split([])
         with pytest.raises(ConfigurationError, match="at least 2"):
             DatasetBundle.build(["only"], empty, empty, empty, 2)
+
+    @pytest.mark.parametrize("line_break", ["\n", "\r", "\r\n"])
+    def test_line_break_in_an_id_rejected_naming_split_and_id(self, line_break):
+        bad_id = f"x{line_break}y"
+        bad = Split(np.zeros((2, 2)), [0, 1], ["ok", bad_id])
+        with pytest.raises(ConfigurationError, match=re.escape(f"validation: sample id {bad_id!r} holds a line break")):
+            DatasetBundle.build(["a", "b"], make_split([0], "tr"), bad, make_split([1], "te"), 2)
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\r"])
+    def test_line_break_in_a_class_name_rejected(self, name):
+        with pytest.raises(ConfigurationError, match=re.escape(f"class name {name!r} holds a line break")):
+            DatasetBundle.build([name, "b"], make_split([0], "tr"), make_split([0], "va"), make_split([1], "te"), 2)
