@@ -91,7 +91,10 @@ def _schema(cls: type) -> tuple[dict[str, Any], frozenset[str]]:
 
 
 def _at(where: str, key: object) -> str:
-    return f"{where}.{key}" if where else str(key)
+    name = str(key)
+    if not name.isprintable():  # a key with a line break must not break the one-line error
+        name = repr(name)
+    return f"{where}.{name}" if where else name
 
 
 def _decode(tp: Any, value: Any, where: str) -> Any:

@@ -41,6 +41,7 @@ class Split:
     """One split as columns: row ``i`` is sample ``ids[i]`` with features ``X[i]`` and label ``y[i]``.
 
     The arrays are coerced to C-contiguous float64 / int64 / str and exposed read-only.
+    No id holds a NUL: the str coercion would drop a trailing one.
     """
 
     X: np.ndarray
@@ -48,6 +49,10 @@ class Split:
     ids: np.ndarray
 
     def __post_init__(self) -> None:
+        ids = self.ids.tolist() if isinstance(self.ids, np.ndarray) else self.ids
+        if "\x00" in "".join(ids):
+            bad = next(i for i in ids if "\x00" in i)
+            raise ConfigurationError(f"sample id {bad!r} holds a NUL character")
         object.__setattr__(self, "X", _read_only(np.ascontiguousarray(self.X, dtype=np.float64)))
         object.__setattr__(self, "y", _read_only(np.asarray(self.y, dtype=np.int64)))
         object.__setattr__(self, "ids", _read_only(np.asarray(self.ids, dtype=str)))

@@ -164,10 +164,15 @@ def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int)
     """
     rows = _parse_rows(path, name_to_index, feature_dim)
     if rows is None:
-        return _scan_split_csv(path, name_to_index, feature_dim)
-    # copies, not views that would keep the records and their id objects alive;
-    # from a list, the ids get the width a list gives
-    return Split(rows["X"].copy(), rows["label"].copy(), rows["id"].tolist())
+        columns = _scan_split_csv(path, name_to_index, feature_dim)
+    else:
+        # copies, not views that would keep the records and their id objects alive;
+        # from a list, the ids get the width a list gives
+        columns = rows["X"].copy(), rows["label"].copy(), rows["id"].tolist()
+    try:
+        return Split(*columns)
+    except ConfigurationError as e:
+        raise ConfigurationError(f"{path}: {e}") from None
 
 
 def _parse_rows(path: Path, name_to_index: dict[str, int], feature_dim: int) -> np.ndarray | None:
@@ -216,8 +221,8 @@ def _parse_rows(path: Path, name_to_index: dict[str, int], feature_dim: int) -> 
     return rows if len(rows) == n else None
 
 
-def _scan_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> Split:
-    """The split read row by row with :mod:`csv` and ``float``; the first faulty row raises, naming its line."""
+def _scan_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> tuple[np.ndarray, array, list[str]]:
+    """The split's ``(X, y, ids)`` read row by row with :mod:`csv` and ``float``; the first faulty row raises, naming its line."""
     ids: list[str] = []
     labels = array("q")
     features = array("d")
@@ -236,7 +241,7 @@ def _scan_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int)
                 raise ConfigurationError(f"{path}:{lineno}: {e}") from None
             ids.append(row[0])
             labels.append(label)
-    return Split(np.frombuffer(features, dtype=np.float64).reshape(len(ids), feature_dim), labels, ids)
+    return np.frombuffer(features, dtype=np.float64).reshape(len(ids), feature_dim), labels, ids
 
 
 def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, Manifest]:

@@ -26,7 +26,7 @@ from .core import ClassPools, DatasetBundle, RandomSource, Split, TrainingSet, c
 from .errors import ConfigurationError, PoolsExhaustedError, RunError, TrainingError
 from .learner import LearnerConfig, TrainedModel, TrainJob, predict_batch, train_stack
 from .metrics import MetricsReport, confusion, report
-from .strategy import sample_fraction, subset_size
+from .strategy import Strategy, sample_fraction, subset_size
 
 __all__ = [
     "IterationRecord",
@@ -119,49 +119,27 @@ def _round_record(bundle: DatasetBundle, ts: TrainingSet, model: TrainedModel) -
     )
 
 
-def _terminal_record(
-    bundle: DatasetBundle,
-    config: ExperimentConfig,
-    seed: int,
-    dataset_hash: str,
-    iterations: list[IterationRecord],
-    model: TrainedModel,
-    ts: TrainingSet,
-    append_count: int,
-    stop_reason: str,
-) -> RunRecord:
-    return RunRecord(
-        config=config.to_dict(),
-        config_hash=config.config_hash(),
-        dataset_hash=dataset_hash,
-        seed=seed,
-        arm_label=config.arm_label(),
-        class_names=list(bundle.class_names),
-        iterations=iterations,
-        final_test_metrics=evaluate_model(model, bundle.test, bundle.num_classes),
-        total_labeled=ts.size,
-        labeled_fraction_of_train=ts.size / len(bundle.train),
-        append_count=append_count,
-        stop_reason=stop_reason,
-        terminal_model=model,
-    )
-
-
-def _active_learning_rounds(
+def _rounds(
     bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str
 ) -> Generator[TrainJob, TrainedModel, RunRecord]:
-    """One active-learning run: yields each round's training job, is sent its model, returns the record."""
-    if config.arm != "al" or config.strategy is None:
-        raise ConfigurationError("run_active_learning needs an 'al' config with a strategy")
-    strategy = config.strategy
+    """One run of either arm: yields each round's training job, is sent its model, returns the record.
 
+    The arm picks only the first training set and how a one-round run stops.
+    An ``al`` run starts from ``per_class_initial`` rows per class and keeps
+    the rest in pools; an ``sl`` run has no pools, and its ``none`` strategy
+    ends it after one round on a stratified ``sl_fraction`` of the train split.
+    """
     rng = RandomSource(seed)
-    ts, pools = split_initial(bundle.train, bundle.num_classes, config.per_class_initial, rng.derive("split"))
+    if config.arm == "sl":
+        subset = sample_fraction(bundle.train, config.sl_fraction, rng.derive("sl_sample"))
+        ts, pools = TrainingSet.from_rows(bundle.train, subset, bundle.num_classes), None
+        strategy, one_round_stop = Strategy(), f"supervised fraction {config.sl_fraction:g}"
+    else:
+        ts, pools = split_initial(bundle.train, bundle.num_classes, config.per_class_initial, rng.derive("split"))
+        strategy, one_round_stop = config.strategy, "single_round"
 
     iterations: list[IterationRecord] = []
     model: TrainedModel | None = None
-    append_count = 0
-
     while True:
         j = ts.iteration
         try:
@@ -171,12 +149,12 @@ def _active_learning_rounds(
         rec = _round_record(bundle, ts, model)
         iterations.append(rec)
 
-        if config.max_iterations is not None and append_count >= config.max_iterations:
+        if config.max_iterations is not None and j >= config.max_iterations:
             stop_reason = f"max_iterations ({config.max_iterations}) reached"
             break
         requested = strategy.request(rec, pools, config.budget)
         if requested is None:
-            stop_reason = "single_round"
+            stop_reason = one_round_stop
             break
 
         remaining = np.asarray(pools.remaining_counts(), dtype=np.int64)
@@ -200,36 +178,22 @@ def _active_learning_rounds(
         rec.allocation, rec.shortfall = allocation, shortfall
         _check_append(ts, new_rows, pools, strategy.round_cap(config.budget))
         ts = ts.extended(new_rows)
-        append_count += 1
 
-    assert model is not None
-    return _terminal_record(
-        bundle, config, seed, dataset_hash, iterations, model, ts, append_count, stop_reason
+    return RunRecord(
+        config=config.to_dict(),
+        config_hash=config.config_hash(),
+        dataset_hash=dataset_hash,
+        seed=seed,
+        arm_label=config.arm_label(),
+        class_names=list(bundle.class_names),
+        iterations=iterations,
+        final_test_metrics=evaluate_model(model, bundle.test, bundle.num_classes),
+        total_labeled=ts.size,
+        labeled_fraction_of_train=ts.size / len(bundle.train),
+        append_count=ts.iteration,
+        stop_reason=stop_reason,
+        terminal_model=model,
     )
-
-
-def _supervised_rounds(
-    bundle: DatasetBundle, fraction: float, config: ExperimentConfig, seed: int, dataset_hash: str
-) -> Generator[TrainJob, TrainedModel, RunRecord]:
-    """One supervised run as a generator of its single training job; returns the record."""
-    rng = RandomSource(seed)
-    subset = sample_fraction(bundle.train, fraction, rng.derive("sl_sample"))
-    ts = TrainingSet.from_rows(bundle.train, subset, bundle.num_classes)
-    model = yield ts, rng.derive("train", 0), None
-    rec = _round_record(bundle, ts, model)
-    return _terminal_record(
-        bundle, config, seed, dataset_hash, [rec], model, ts, 0, f"supervised fraction {fraction:g}"
-    )
-
-
-def _rounds(
-    bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str
-) -> Generator[TrainJob, TrainedModel, RunRecord]:
-    """The run generator of the configured arm."""
-    if config.arm == "sl":
-        assert config.sl_fraction is not None
-        return _supervised_rounds(bundle, config.sl_fraction, config, seed, dataset_hash)
-    return _active_learning_rounds(bundle, config, seed, dataset_hash)
 
 
 def _run_stack(
@@ -261,11 +225,9 @@ def _run_stack(
     return out
 
 
-def _run_alone(
-    bundle: DatasetBundle, config: ExperimentConfig, run: Generator[TrainJob, TrainedModel, RunRecord]
-) -> RunRecord:
-    """Drive one run as a stack of one; its failure is raised as is."""
-    (result,) = _run_stack(config.learner, bundle.validation, [run])
+def _run_alone(bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str) -> RunRecord:
+    """Drive one seed's run as a stack of one; its failure is raised as is."""
+    (result,) = _run_stack(config.learner, bundle.validation, [_rounds(bundle, config, seed, dataset_hash)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -283,23 +245,21 @@ def run_active_learning(
     same config and seed produce identical training-set trajectories, and a
     change in iteration count leaves earlier iterations' draws untouched.
     """
-    return _run_alone(bundle, config, _active_learning_rounds(bundle, config, seed, dataset_hash))
+    if config.arm != "al":
+        raise ConfigurationError("run_active_learning needs an 'al' config with a strategy")
+    return _run_alone(bundle, config, seed, dataset_hash)
 
 
-def run_supervised(
-    bundle: DatasetBundle,
-    fraction: float,
-    config: ExperimentConfig,
-    seed: int,
-    dataset_hash: str = "",
-) -> RunRecord:
-    """One supervised round on a stratified fraction of the train split."""
-    return _run_alone(bundle, config, _supervised_rounds(bundle, fraction, config, seed, dataset_hash))
+def run_supervised(bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str = "") -> RunRecord:
+    """One supervised round on a stratified ``config.sl_fraction`` of the train split."""
+    if config.arm != "sl":
+        raise ConfigurationError("run_supervised needs an 'sl' config with an sl_fraction")
+    return _run_alone(bundle, config, seed, dataset_hash)
 
 
 def run_one(bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str = "") -> RunRecord:
-    """Dispatch a single seed to the configured arm."""
-    return _run_alone(bundle, config, _rounds(bundle, config, seed, dataset_hash))
+    """Run a single seed of the configured arm."""
+    return _run_alone(bundle, config, seed, dataset_hash)
 
 
 def _run_one_star(args: tuple[DatasetBundle, ExperimentConfig, Sequence[int], str]) -> list[RunRecord]:

@@ -28,7 +28,6 @@ from .errors import ConfigurationError, TrainingError
 
 __all__ = [
     "LearnerConfig",
-    "EpochStats",
     "TrainedModel",
     "TrainJob",
     "train",
@@ -76,11 +75,6 @@ class LearnerConfig:
                 raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    val_loss: float
-
-
 @dataclass
 class TrainedModel:
     """Parameters plus the validation trace that produced them.
@@ -94,7 +88,7 @@ class TrainedModel:
     feature_dim: int
     num_classes: int
     params: dict[str, np.ndarray]
-    training_log: list[EpochStats] = field(default_factory=list)
+    training_log: list[float] = field(default_factory=list)
     stopped_epoch: int = 0
     best_epoch: int = 0
 
@@ -205,7 +199,7 @@ class _Fit:
     num_classes: int
     gen: np.random.Generator
     params: dict[str, np.ndarray]
-    log: list[EpochStats] = field(default_factory=list)
+    log: list[float] = field(default_factory=list)
     best_val: float = np.inf
     best_params: dict[str, np.ndarray] = field(default_factory=dict)
     best_epoch: int = 0
@@ -291,7 +285,7 @@ def train_stack(
             if not np.isfinite(val_loss):
                 out[f.job] = TrainingError(f"non-finite loss at epoch {epoch} (training diverged)")
                 continue
-            f.log.append(EpochStats(val_loss=val_loss))
+            f.log.append(val_loss)
             if val_loss < f.best_val:
                 f.best_val, f.best_epoch, f.bad_epochs = val_loss, epoch, 0
                 f.best_params = {k: v.copy() for k, v in params.items()}

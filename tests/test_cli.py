@@ -368,6 +368,10 @@ class TestIngestFaults:
         _edit_manifest(dataset_dir, lambda m: m.update(classes="".join(m["classes"])))
         self._run_fails(run_cfg_file, capsys, "manifest.json: classes must be a list, got '")
 
+    def test_a_key_with_a_line_break_stays_on_the_error_line(self, run_cfg_file, dataset_dir, capsys):
+        _edit_manifest(dataset_dir, lambda m: m["counts"].update({"\n": None}))
+        self._run_fails(run_cfg_file, capsys, "manifest.json: counts.'\\n' must be a list, got None")
+
     def test_manifest_feature_dim_must_be_an_integer(self, run_cfg_file, dataset_dir, capsys):
         _edit_manifest(dataset_dir, lambda m: m.update(feature_dim=4.7))
         self._run_fails(run_cfg_file, capsys, "manifest.json: feature_dim must be an integer, got 4.7")
@@ -446,6 +450,12 @@ class TestIngestEdgeCases:
             pytest.param(_crlf, None, id="crlf"),
             pytest.param(
                 _edit_row(lambda c: ['"x\ny"'] + c[1:]), "train: sample id 'x\\ny' holds a line break", id="line-break-id"
+            ),
+            # a str array of the ids would drop this trailing NUL without a word
+            pytest.param(
+                _edit_row(lambda c: [c[0] + "\x00"] + c[1:]),
+                "{path}: sample id 'train-000002\\x00' holds a NUL character",
+                id="nul-id",
             ),
             pytest.param(_header_only_val, "the validation and test splits must not be empty", id="header-only-val"),
         ],

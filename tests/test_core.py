@@ -41,6 +41,14 @@ class TestRandomSource:
         assert RandomSource(1).derive("split").key == RandomSource(1).derive("split").key
 
 
+class TestSplit:
+    @pytest.mark.parametrize("bad_id", ["val-000000\x00", "x\x00y", "\x00"])
+    def test_nul_in_an_id_rejected_naming_the_id(self, bad_id):
+        # as a str array, "val-000000\x00" would become "val-000000" and collide with the first id
+        with pytest.raises(ConfigurationError, match=re.escape(f"sample id {bad_id!r} holds a NUL character")):
+            Split(np.zeros((2, 2)), [0, 1], ["val-000000", bad_id])
+
+
 class TestSplitInitial:
     def test_cohort_scale_split_sizes(self, cohort_scale_train):
         train, counts = cohort_scale_train

@@ -33,7 +33,7 @@ FLOATS = st.one_of(
 )
 # Cells that need quoting (comma, quote), spaces a reader might strip, a comment
 # sign a reader might skip, and non-ASCII text. Class names may also end in a
-# NUL, which a fixed-width string drops; ids are ``<U`` arrays, which drop it already.
+# NUL, which a fixed-width string drops; a ``Split`` refuses a NUL in an id.
 CHARS = [",", '"', " ", "\t", "#", "a", "Z", "1", "-", ".", "é", "😀"]
 IDS = st.text(alphabet=st.sampled_from(CHARS), max_size=5)
 NAMES = st.text(alphabet=st.sampled_from(CHARS + ["\x00"]), max_size=5)

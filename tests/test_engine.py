@@ -263,7 +263,7 @@ class TestDeterminism:
 
 
 class TestSupervised:
-    def sl_config(self, fraction):
+    def sl_config(self, fraction, **overrides):
         return ExperimentConfig.from_dict(
             {
                 "dataset": "preset:paper-shape",
@@ -271,27 +271,55 @@ class TestSupervised:
                 "sl_fraction": fraction,
                 "seeds": [0],
                 "learner": dict(FAST_LEARNER),
+                **overrides,
             }
         )
 
     def test_full_fraction_trains_on_everything(self):
         bundle = small_bundle()
-        record = run_supervised(bundle, 1.0, self.sl_config(1.0), seed=0)
+        record = run_supervised(bundle, self.sl_config(1.0), seed=0)
         assert record.total_labeled == 900
         assert record.labeled_fraction_of_train == 1.0
         assert len(record.iterations) == 1
 
     def test_partial_fraction(self):
         bundle = small_bundle()
-        record = run_supervised(bundle, 0.2, self.sl_config(0.2), seed=0)
+        record = run_supervised(bundle, self.sl_config(0.2), seed=0)
         assert record.total_labeled == 180
 
     def test_same_seed_identical_metrics(self):
         bundle = small_bundle()
         cfg = self.sl_config(1.0)
-        r1 = run_supervised(bundle, 1.0, cfg, seed=3)
-        r2 = run_supervised(bundle, 1.0, cfg, seed=3)
+        r1 = run_supervised(bundle, cfg, seed=3)
+        r2 = run_supervised(bundle, cfg, seed=3)
         assert r1.final_test_metrics == r2.final_test_metrics
+
+    def test_al_stopping_keys_leave_a_supervised_run_unchanged(self):
+        bundle = small_bundle()
+        plain = self.sl_config(0.5)
+        loaded = self.sl_config(
+            0.5, max_iterations=3, stop_on_exhaustion=True, learner=dict(FAST_LEARNER, warm_start=True)
+        )
+        r1, r2 = run_one(bundle, plain, seed=2), run_one(bundle, loaded, seed=2)
+        assert [asdict(it) for it in r2.iterations] == [asdict(it) for it in r1.iterations]
+        assert r2.final_test_metrics == r1.final_test_metrics
+        assert r2.stop_reason == r1.stop_reason == "supervised fraction 0.5"
+        assert r2.total_labeled == r1.total_labeled == 450
+
+    def test_each_arm_function_refuses_the_other_arm(self):
+        bundle = small_bundle()
+        with pytest.raises(ConfigurationError, match="run_supervised needs an 'sl' config"):
+            run_supervised(bundle, al_config(), seed=0)
+        with pytest.raises(ConfigurationError, match="run_active_learning needs an 'al' config"):
+            run_active_learning(bundle, self.sl_config(0.5), seed=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_supervised_seed_names_its_round(self):
+        bundle = small_bundle(train_counts=(5, 5), overlap=())
+        diverging = {**FAST_LEARNER, "learning_rate": 1e308, "init_scale": 1e200}
+        message = r"^seed 4 failed: iteration 0: non-finite loss at epoch \d+ \(training diverged\)$"
+        with pytest.raises(RunError, match=message):
+            run_sweep(bundle, self.sl_config(1.0, learner=diverging), [4])
 
 
 class TestSweep:

@@ -168,8 +168,7 @@ class TestTrain:
         ts = every_row(blob_samples(30, sigma=1.5))
         val = blob_samples(30, sigma=1.5, seed=2)
         model = train(LearnerConfig(learning_rate=0.3, max_epochs=40), ts, val, RandomSource(3))
-        losses = [e.val_loss for e in model.training_log]
-        assert model.best_epoch == int(np.argmin(losses)) + 1
+        assert model.best_epoch == int(np.argmin(model.training_log)) + 1
 
     def test_bit_identical_training_logs_for_same_seed(self):
         ts = every_row(blob_samples(20, sigma=0.8))
@@ -318,7 +317,7 @@ class TestTrainMatchesReference:
         assert len(train_split) % cfg.batch_size != 0
         assert (stopped_epoch < cfg.max_epochs) == early_stop
         assert (model.best_epoch, model.stopped_epoch) == (best_epoch, stopped_epoch)
-        assert [e.val_loss for e in model.training_log] == log
+        assert model.training_log == log
         assert sorted(model.params) == sorted(params)
         for k in params:
             assert model.params[k].tobytes() == params[k].tobytes()
@@ -326,7 +325,7 @@ class TestTrainMatchesReference:
 
 def assert_same_model(a, b):
     assert (a.best_epoch, a.stopped_epoch) == (b.best_epoch, b.stopped_epoch)
-    assert [e.val_loss for e in a.training_log] == [e.val_loss for e in b.training_log]
+    assert a.training_log == b.training_log
     assert sorted(a.params) == sorted(b.params)
     for k in a.params:
         assert a.params[k].tobytes() == b.params[k].tobytes()

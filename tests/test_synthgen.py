@@ -81,7 +81,7 @@ class TestGenerate:
                 "learner": {"learning_rate": 0.1, "max_epochs": 30, "patience": 3},
             }
         )
-        record = run_supervised(bundle, 1.0, cfg, seed=0)
+        record = run_supervised(bundle, cfg, seed=0)
         assert record.final_test_metrics.accuracy >= 0.99
 
     def test_overlap_caps_bayes_recall(self):
