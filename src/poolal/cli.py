@@ -18,10 +18,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
 from .config import ExperimentConfig, decode
 from .datafiles import (
+    load_run_record,
+    load_yaml,
     resolve_dataset,
     save_model,
     save_run_record,
@@ -71,23 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_yaml(path: Path) -> dict:
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"file not found: {path}") from None
-    except yaml.YAMLError as e:
-        raise ConfigurationError(f"{path}: bad YAML: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: expected a mapping at top level")
-    return raw
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.preset:
         spec = PRESETS[args.preset]() if args.seed is None else PRESETS[args.preset](seed=args.seed)
     else:
-        payload = _load_yaml(args.spec)
+        payload = load_yaml(args.spec)
         if args.seed is not None:
             payload["seed"] = args.seed
         spec = decode(GeneratorSpec, payload, args.spec)
@@ -114,11 +102,7 @@ def _parse_seed_override(args: argparse.Namespace, config: ExperimentConfig) -> 
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    raw = _load_yaml(args.config)
-    try:
-        config = ExperimentConfig.from_dict(raw)
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{args.config}: {e}") from None
+    config = decode(ExperimentConfig, load_yaml(args.config), args.config)
     seeds = _parse_seed_override(args, config)
     out_dir = Path(args.out) if args.out is not None else Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -155,8 +139,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .datafiles import load_run_record
-
     records = [load_run_record(p) for p in args.records]
     reports = group_and_aggregate(records)
     table = render_table(reports)
@@ -174,10 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ConfigurationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except PoolalError as e:

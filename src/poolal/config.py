@@ -1,7 +1,7 @@
 """Experiment configuration: parsing, validation, canonical hashing, and the typed decoder.
 
 Configs arrive as flat YAML mappings (one optional nested ``learner`` block)
-and validate into a frozen :class:`ExperimentConfig`. The canonical hash of
+and decode field for field into a frozen :class:`ExperimentConfig`. The hash of
 the config travels with every run record so reports can group records by
 the exact experiment that produced them.
 
@@ -28,25 +28,6 @@ from .learner import LearnerConfig
 from .strategy import Strategy, parse_strategy
 
 __all__ = ["ExperimentConfig", "canonical_hash", "decode"]
-
-# The type of each config key. A key left out takes its default in
-# ``ExperimentConfig.from_dict``; a ``| None`` key may also be null, which
-# means the same.
-_TOP_KEYS = {
-    "dataset": str,
-    "arm": str,
-    "strategy": str | None,
-    "candidate_count": int | None,
-    "select_count": int | None,
-    "per_class_initial": int | None,
-    "budget": int | None,
-    "max_iterations": int | None,
-    "stop_on_exhaustion": bool | None,
-    "sl_fraction": float | None,
-    "seeds": list[int],
-    "output_dir": str,
-    "learner": LearnerConfig | None,
-}
 
 # Above 2**53 a count has no exact float, and ``largest_remainder`` splits
 # budgets and candidate counts by float quotas.
@@ -100,10 +81,9 @@ def _at(where: str, key: object) -> str:
 def _decode(tp: Any, value: Any, where: str) -> Any:
     """``value`` rebuilt as annotation ``tp``; anything else is a ConfigurationError naming ``where``.
 
-    ``tp`` is a type annotation, a dataclass, or a table of key -> annotation
-    (every key optional). Integers are taken without conversion; a float field
-    takes any finite number and stores it as a float. A dataclass or table
-    refuses an unknown key, and a dataclass a missing field without a default.
+    ``tp`` is a type annotation or a dataclass. Integers are taken without
+    conversion; a float field takes any finite number and stores it as a float.
+    A dataclass refuses an unknown key, and a missing field without a default.
     """
     if tp is int:
         return _as_int(where, value)
@@ -114,8 +94,7 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
             raise ConfigurationError(f"{where} must be {'true or false' if tp is bool else 'a string'}, got {value!r}")
         return value
     origin, args = get_origin(tp), get_args(tp)
-    table = isinstance(tp, dict)
-    if tp is dict or origin is dict or table or is_dataclass(tp):
+    if tp is dict or origin is dict or is_dataclass(tp):
         if not isinstance(value, dict):
             if not where:
                 raise ConfigurationError(f"the file must be a JSON object, not {type(value).__name__}")
@@ -124,12 +103,11 @@ def _decode(tp: Any, value: Any, where: str) -> Any:
             return value
         if origin is dict:  # dict[str, X]: JSON keys are strings
             return {k: _decode(args[1], v, _at(where, k)) for k, v in value.items()}
-        types, required = (tp, frozenset()) if table else _schema(tp)
+        types, required = _schema(tp)
         for problem, keys in (("missing", required - value.keys()), ("unknown", value.keys() - types.keys())):
             if keys:
                 raise ConfigurationError(f"{problem} keys {sorted(_at(where, k) for k in keys)}")
-        decoded = {k: _decode(types[k], v, _at(where, k)) for k, v in value.items()}
-        return decoded if table else tp(**decoded)
+        return tp(**{k: _decode(types[k], v, _at(where, k)) for k, v in value.items()})
     if origin is UnionType:  # X | None
         if value is None and type(None) in args:
             return None
@@ -159,21 +137,36 @@ def decode(cls: type, payload: Any, source: Path | str) -> Any:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment arm: dataset, strategy or fraction, budgets, learner, seeds."""
+    """One experiment arm, field for field its config file: dataset, strategy or fraction, budgets, learner, seeds.
 
-    dataset: str
-    arm: str
-    strategy: Strategy | None
-    per_class_initial: int
-    budget: int
-    max_iterations: int | None
-    stop_on_exhaustion: bool
-    sl_fraction: float | None
-    learner: LearnerConfig
-    seeds: tuple[int, ...]
-    output_dir: str
+    A key left out takes its default, and so does a null one.
+    """
+
+    dataset: str = ""
+    arm: str = "al"
+    strategy: str | None = None
+    candidate_count: int | None = None
+    select_count: int | None = None
+    per_class_initial: int | None = 0
+    budget: int | None = 0
+    max_iterations: int | None = None
+    stop_on_exhaustion: bool | None = False
+    sl_fraction: float | None = None
+    learner: LearnerConfig | None = LearnerConfig()
+    seeds: tuple[int, ...] = (0,)
+    output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # null means left out
+            if getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, f.default)
+        for key in _COUNT_KEYS:
+            if (getattr(self, key) or 0) > 2**53:
+                raise ConfigurationError(f"{key} must be <= 2**53, got {getattr(self, key)}")
+        if self.strategy is None and (self.candidate_count, self.select_count) != (None, None):
+            raise ConfigurationError("candidate_count/select_count require strategy 'entropy_topk'")
+        if self.strategy is not None:
+            self.acquisition()  # the strategy's own checks
         if self.arm not in ("al", "sl"):
             raise ConfigurationError(f"arm must be 'al' or 'sl', got {self.arm!r}")
         if self.arm == "sl":
@@ -194,12 +187,12 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "arm 'al' requires a strategy (use strategy 'none' for an explicit single training round)"
                 )
-            if self.strategy.name != "none":
+            if self.strategy != "none":
                 if self.max_iterations is None and not self.stop_on_exhaustion:
                     raise ConfigurationError(
                         "enable at least one stopping criterion: max_iterations or stop_on_exhaustion"
                     )
-                if self.budget < 1 and self.strategy.name != "entropy_topk":
+                if self.budget < 1 and self.strategy != "entropy_topk":
                     raise ConfigurationError(f"budget must be >= 1, got {self.budget}")
             if self.per_class_initial < 1:
                 raise ConfigurationError(
@@ -219,34 +212,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentConfig":
-        """The config in mapping ``raw``, each key decoded by its ``_TOP_KEYS`` type, then the cross-field rules."""
-        d = _decode(_TOP_KEYS, raw, "")
-        for key in _COUNT_KEYS:
-            if (d.get(key) or 0) > 2**53:
-                raise ConfigurationError(f"{key} must be <= 2**53, got {d[key]}")
-        name, counts = d.get("strategy"), (d.get("candidate_count"), d.get("select_count"))
-        if name is None and counts != (None, None):
-            raise ConfigurationError("candidate_count/select_count require strategy 'entropy_topk'")
-        return cls(
-            dataset=d.get("dataset", ""),
-            arm=d.get("arm", "al"),
-            strategy=None if name is None else parse_strategy(name, *counts),
-            per_class_initial=d.get("per_class_initial") or 0,
-            budget=d.get("budget") or 0,
-            max_iterations=d.get("max_iterations"),
-            stop_on_exhaustion=d.get("stop_on_exhaustion") or False,
-            sl_fraction=d.get("sl_fraction"),
-            learner=d.get("learner") or LearnerConfig(),
-            seeds=tuple(d.get("seeds", [0])),
-            output_dir=d.get("output_dir", "out"),
-        )
+        """The config in mapping ``raw``, decoded field by field."""
+        return _decode(cls, raw, "")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d.update(strategy=None, seeds=list(self.seeds))
-        if self.strategy is not None:
-            d.update(strategy=self.strategy.name, **asdict(self.strategy))
+        """The config as its file's mapping; the candidate sizes only for ``entropy_topk``."""
+        d = dict(asdict(self), seeds=list(self.seeds))
+        if self.strategy != "entropy_topk":
+            del d["candidate_count"], d["select_count"]
         return d
+
+    def acquisition(self) -> Strategy:
+        """The ``al`` arm's strategy object."""
+        return parse_strategy(self.strategy, self.candidate_count, self.select_count)
 
     def config_hash(self) -> str:
         """Hash of the experiment arm's identity.
@@ -263,7 +241,4 @@ class ExperimentConfig:
         return canonical_hash(d)
 
     def arm_label(self) -> str:
-        if self.arm == "sl":
-            return f"sl({self.sl_fraction:g})"
-        assert self.strategy is not None
-        return f"al:{self.strategy.name}"
+        return f"sl({self.sl_fraction:g})" if self.arm == "sl" else f"al:{self.strategy}"

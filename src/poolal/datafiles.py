@@ -8,7 +8,8 @@ value-identical. The manifest carries class names, feature dimension,
 per-split class counts (checked on load), the generator spec for synthetic
 data, and a digest of the CSV bytes that run records embed and reports compare.
 
-This is the one module that knows a file format. Every JSON file is written by
+This is the one module that knows a file format. Configs and generator specs
+are YAML, read by :func:`load_yaml`. Every JSON file is written by
 :func:`_write_json` and read back by :func:`_read_json` as a dataclass
 (:class:`Manifest`, :class:`Checkpoint` or the run record) through
 :func:`~poolal.config.decode`, which refuses a missing or unknown key or a
@@ -26,6 +27,7 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+import yaml
 
 from .config import _decode, canonical_hash, decode, persisted
 from .core import DatasetBundle, Split
@@ -43,6 +45,7 @@ __all__ = [
     "write_trajectory_csv",
     "save_model",
     "load_model",
+    "load_yaml",
     "Manifest",
     "Checkpoint",
 ]
@@ -110,10 +113,32 @@ def _write_split_csv(path: Path, split: Split, class_names: tuple[str, ...], fea
         f.writelines(",".join(row) + "\n" for row in cells)
 
 
+def _read_text(path: Path | str) -> str:
+    """The text of file ``path``, which must be UTF-8; the error names the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {e}") from None
+
+
+def load_yaml(path: Path) -> dict:
+    """The mapping in YAML file ``path``; a YAML error is one line naming the path, and its line and column."""
+    try:
+        raw = yaml.safe_load(_read_text(path))
+    except yaml.MarkedYAMLError as e:
+        mark = e.problem_mark
+        raise ConfigurationError(f"{path}:{mark.line + 1}:{mark.column + 1}: bad YAML: {e.problem}") from None
+    except yaml.reader.ReaderError as e:  # a character YAML refuses: a position, no mark
+        raise ConfigurationError(f"{path}: bad YAML: {str(e).splitlines()[0]} at position {e.position}") from None
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: expected a mapping at top level")
+    return raw
+
+
 def _read_json(cls: type, path: Path | str, what: str) -> Any:
     """The schema v1 ``what`` in JSON file ``path``, decoded as dataclass ``cls``; errors name the path."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"{path}: not valid JSON: {e}") from None
     if isinstance(payload, dict) and payload.get("schema_version") != 1:

@@ -136,7 +136,7 @@ def _rounds(
         strategy, one_round_stop = Strategy(), f"supervised fraction {config.sl_fraction:g}"
     else:
         ts, pools = split_initial(bundle.train, bundle.num_classes, config.per_class_initial, rng.derive("split"))
-        strategy, one_round_stop = config.strategy, "single_round"
+        strategy, one_round_stop = config.acquisition(), "single_round"
 
     iterations: list[IterationRecord] = []
     model: TrainedModel | None = None
@@ -293,6 +293,8 @@ def run_sweep(
         raise ConfigurationError("run_sweep needs at least one seed")
     if min(seeds) < 0:
         raise ConfigurationError(f"seeds must be >= 0, got {min(seeds)}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigurationError(f"seeds must be distinct, got {list(seeds)}")
     if config.arm == "sl" and subset_size(len(bundle.train), config.sl_fraction) == 0:
         raise ConfigurationError(
             f"sl_fraction must select at least one of the {len(bundle.train)} train rows, got {config.sl_fraction!r}"

@@ -244,8 +244,8 @@ def test_criterion_7_entropy_baseline_conformance():
         cfg = preset_config(
             strategy="entropy_topk", candidate_count=30000, select_count=20000, budget=0
         )
-        assert cfg.strategy.candidate_count == 30000
-        assert cfg.strategy.select_count == 20000
+        assert cfg.candidate_count == 30000
+        assert cfg.select_count == 20000
 
 
 def test_criterion_8_reproducibility(tmp_path):

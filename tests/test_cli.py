@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_read_split_csv
+from test_golden import ARMS
 from poolal.cli import main
 from poolal.config import ExperimentConfig
 from poolal.datafiles import (
@@ -59,6 +60,7 @@ RUN_CFG = {
 }
 
 
+CONFIG_FILES = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 TOP_FIELDS = sorted({f.name for f in fields(ExperimentConfig)} | {"candidate_count", "select_count"})
 LEARNER_FIELDS = sorted(f.name for f in fields(LearnerConfig))
 FIELD_VALUES = st.recursive(
@@ -136,7 +138,7 @@ class TestExperimentConfig:
 
     def test_valid_config_parses(self):
         cfg = ExperimentConfig.from_dict(self.base())
-        assert cfg.strategy.name == "fnr_proportional"
+        assert cfg.strategy == "fnr_proportional"
         assert cfg.seeds == (0, 1)
 
     def test_conflicting_sl_fraction_and_strategy(self):
@@ -173,8 +175,8 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict(
             self.base(strategy="entropy_topk", candidate_count=30000, select_count=20000)
         )
-        assert cfg.strategy.candidate_count == 30000
-        assert cfg.strategy.select_count == 20000
+        assert cfg.candidate_count == 30000
+        assert cfg.select_count == 20000
 
     def test_entropy_counts_without_entropy_strategy_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -199,6 +201,37 @@ class TestExperimentConfig:
         nulls = dict.fromkeys(["strategy", "candidate_count", "select_count", "per_class_initial", "budget"])
         nulls.update(max_iterations=None, stop_on_exhaustion=None, learner=None)
         assert ExperimentConfig.from_dict(dict(given, **nulls)) == ExperimentConfig.from_dict(given)
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            (dict(RUN_CFG, arm="xl"), "arm must be 'al' or 'sl', got 'xl'"),
+            (dict(RUN_CFG, budget=0), "budget must be >= 1, got 0"),
+            ({"arm": "sl", "sl_fraction": 0.5, "per_class_initial": -1}, "per_class_initial must be >= 0, got -1"),
+            (dict(RUN_CFG, seeds=[]), "seeds must contain at least one seed"),
+            (
+                {"arm": "sl", "sl_fraction": 0.5, "candidate_count": 10},
+                "candidate_count/select_count require strategy 'entropy_topk'",
+            ),
+        ],
+    )
+    def test_refusal_is_the_whole_error(self, given, message):
+        with pytest.raises(ConfigurationError) as e:
+            ExperimentConfig.from_dict(dict(given, dataset="d"))
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            *(pytest.param(yaml.safe_load(p.read_text(encoding="utf-8")), id=p.name) for p in CONFIG_FILES),
+            *(pytest.param(dict(arm, dataset="data"), id=f"golden-{name}") for name, arm in ARMS.items()),
+        ],
+    )
+    def test_config_round_trips_through_its_dict(self, given):
+        cfg = ExperimentConfig.from_dict(given)
+        again = ExperimentConfig.from_dict(cfg.to_dict())
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -656,6 +689,8 @@ class TestRunVerb:
                 {"dataset": "preset:paper-shape", "arm": "sl", "sl_fraction": 0.00001, "seeds": [0, 1]},
                 "sl_fraction must select at least one of the 34603 train rows, got 1e-05",
             ),
+            (dict(RUN_CFG, dataset="preset:nope"), "unknown preset 'nope'; available: ['paper-shape']"),
+            (dict(RUN_CFG, dataset="preset:paper-shape@x"), "bad preset seed 'x' in 'preset:paper-shape@x'"),
         ],
     )
     def test_dataset_dependent_config_error_exits_2(self, tmp_path, capsys, cfg, message):
@@ -667,6 +702,26 @@ class TestRunVerb:
 
     def test_both_seed_flags_rejected(self, run_cfg_file, capsys):
         assert main(["run", "--config", str(run_cfg_file), "--seed", "1", "--seeds", "1,2"]) == 2
+
+    def test_seeds_flag_overrides_the_config(self, tmp_path, dataset_dir):
+        cfg = dict(RUN_CFG, dataset=str(dataset_dir), seeds=[5], output_dir=str(tmp_path / "o"))
+        assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", cfg)), "--seeds", "0,1"]) == 0
+        assert sorted(p.name.rsplit("-", 1)[1] for p in (tmp_path / "o").glob("run-*.json")) == [
+            "seed0.json",
+            "seed1.json",
+        ]
+
+    def test_bad_seeds_list_exits_2(self, run_cfg_file, capsys):
+        assert main(["run", "--config", str(run_cfg_file), "--seeds", "0,x"]) == 2
+        assert capsys.readouterr().err == "error: bad --seeds list '0,x'\n"
+
+    @pytest.mark.parametrize("seeds, flags", [([1, 1], []), ([0], ["--seeds", "1,1"])])
+    def test_duplicate_seeds_exit_2(self, tmp_path, dataset_dir, capsys, seeds, flags):
+        cfg = dict(RUN_CFG, dataset=str(dataset_dir), seeds=seeds, output_dir=str(tmp_path / "o"))
+        assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", cfg)), *flags]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: seeds must be distinct, got [1, 1]"]
+        assert not list((tmp_path / "o").glob("run-*.json"))
 
 
 class TestReportVerb:
@@ -756,6 +811,61 @@ class TestReportVerb:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{bad}: the file must be a JSON object, not list" in err
+
+
+class TestTextInputs:
+    """A text file that is not UTF-8, or YAML that does not parse, exits 2 with one ``error:`` line naming it."""
+
+    @pytest.mark.parametrize("verb", ["run", "generate"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            pytest.param(
+                b"dataset: d\xff\n",
+                ": not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+                id="not-utf8",
+            ),
+            pytest.param(
+                b"strategy: [fnr\n", ":2:1: bad YAML: expected ',' or ']', but got '<stream end>'", id="open-list"
+            ),
+            pytest.param(b"dataset: a: b\n", ":1:11: bad YAML: mapping values are not allowed here", id="colon"),
+            pytest.param(
+                b"seeds: [0]\n\x07",
+                ": bad YAML: unacceptable character #x0007: special characters are not allowed at position 11",
+                id="control-character",
+            ),
+        ],
+    )
+    def test_yaml_file(self, tmp_path, capsys, verb, content, message):
+        path = tmp_path / "in.yaml"
+        path.write_bytes(content)
+        flag = "--config" if verb == "run" else "--spec"
+        extra = [] if verb == "run" else ["--out", str(tmp_path / "d")]
+        assert main([verb, flag, str(path), *extra]) == 2
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+    def test_manifest_not_utf8(self, run_cfg_file, dataset_dir, capsys):
+        path = dataset_dir / "manifest.json"
+        path.write_bytes(path.read_bytes().replace(b"class_0", b"class_\xff", 1))
+        assert main(["run", "--config", str(run_cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text: ") and err.count("\n") == 1, err
+
+    def test_record_not_utf8(self, tmp_path, capsys, record_text):
+        path = tmp_path / "run.json"
+        path.write_bytes(record_text.encode("utf-8").replace(b"fnr_proportional", b"fnr\xff", 1))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text: ") and err.count("\n") == 1, err
+
+    def test_checkpoint_not_utf8(self, tmp_path):
+        from poolal.learner import TrainedModel
+
+        path = tmp_path / "model.json"
+        save_model(TrainedModel("softmax_linear", 1, 2, {"W": np.zeros((1, 2)), "b": np.zeros(2)}), path)
+        path.write_bytes(path.read_bytes().replace(b"softmax_linear", b"softmax\xff", 1))
+        with pytest.raises(ConfigurationError, match="^" + re.escape(f"{path}: not UTF-8 text: ")):
+            load_model(path)
 
 
 @pytest.fixture(scope="module")

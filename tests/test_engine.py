@@ -239,6 +239,17 @@ class TestEntropyArm:
         # pools start at [20, 20]; candidate share of 15 per class exhausts within two appends
         assert "pool exhausted" in record.stop_reason or "pools exhausted" in record.stop_reason
 
+    def test_no_candidates_left_stops_the_run(self):
+        # pools start at [5, 5, 5]; each round draws 10 candidates, keeps 5 and gives 5 back
+        bundle = small_bundle(train_counts=(20, 20, 20), overlap=())
+        cfg = al_config(
+            strategy="entropy_topk", candidate_count=10, select_count=5, budget=0, per_class_initial=15, max_iterations=10
+        )
+        record = run_active_learning(bundle, cfg, seed=0)
+        assert record.stop_reason == "pools exhausted: no entropy candidates available"
+        assert record.append_count == 3
+        assert record.total_labeled == 60
+
 
 class TestDeterminism:
     def test_same_seed_identical_records(self):
@@ -340,7 +351,7 @@ class TestSweep:
 
     def test_repeated_seed_std_exactly_zero(self):
         bundle = small_bundle()
-        records = run_sweep(bundle, al_config(), [5, 5, 5], dataset_hash="h")
+        records = [run_one(bundle, al_config(), 5, dataset_hash="h") for _ in range(3)]
         agg = aggregate_records(records)
         assert agg.macro_f1.std == 0.0
         assert agg.micro_f1.std == 0.0
