@@ -14,6 +14,16 @@ one-job case, so there is one implementation of the loop.
 
 All math is float64; training is single-threaded and bit-reproducible for
 a fixed :class:`~poolal.core.RandomSource`, stacked or alone.
+
+The softmax and the log-sum-exp reduce over the class axis of a class-major
+copy of the logits (:func:`_class_major_exp`), one elementwise pass per
+class. Below 8 classes the bits are those of the row-major formula, since
+numpy sums fewer than 8 elements of a row in index order. From 8 classes
+on, a block of two or more rows sums its classes in index order, where
+numpy would sum a row pairwise, so the last bits of a model of 8 or more
+classes may differ from the row-major formula's; a lone row is one
+contiguous run and is still summed pairwise.
+:func:`poolal.strategy.row_entropies` still sums each row.
 """
 
 from __future__ import annotations
@@ -128,18 +138,32 @@ def _forward(kind: str, params: dict[str, np.ndarray], X: np.ndarray) -> tuple[n
     return h, z
 
 
+def _class_major_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``exp(z - max)`` of logits ``(..., B, I)`` laid out class-major ``(..., I, B)``, with the max and the class sum.
+
+    Both reduce over the outer class axis, one elementwise pass per class,
+    where a reduction over the last axis runs one short inner loop per row.
+    The sum adds class 0 first, then 1, and so on (see the module docstring).
+    """
+    e = z.swapaxes(-1, -2).copy()  # C order, and never a view of z, which a lone row would be
+    zmax = np.maximum.reduce(e, axis=-2)
+    e -= zmax[..., None, :]
+    np.exp(e, out=e)
+    return e, zmax, np.add.reduce(e, axis=-2)
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis of logits ``z``, written back into ``z``, which it returns."""
+    e, _, total = _class_major_exp(z)
+    e /= total[..., None, :]
+    z[...] = e.swapaxes(-1, -2)
+    return z
 
 
 def _mean_cross_entropy(kind: str, params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> float:
     _, z = _forward(kind, params, X)
-    zmax = z.max(axis=1)
-    e = z - zmax[:, None]
-    np.exp(e, out=e)
-    lse = zmax + np.log(e.sum(axis=1))
+    _, zmax, total = _class_major_exp(z)
+    lse = zmax + np.log(total)
     return float(np.mean(lse - z[np.arange(len(y)), y]))
 
 
@@ -152,9 +176,7 @@ def _gradients(kind: str, params: dict[str, np.ndarray], X: np.ndarray, Y: np.nd
     h, g = _forward(kind, params, X)
     if Y.ndim < g.ndim:
         Y = np.eye(g.shape[-1])[Y]
-    g -= g.max(axis=-1, keepdims=True)
-    np.exp(g, out=g)
-    g /= g.sum(axis=-1, keepdims=True)
+    _softmax(g)
     g -= Y
     g /= X.shape[-2]
     Xt = X.swapaxes(-1, -2)

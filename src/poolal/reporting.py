@@ -61,7 +61,7 @@ class AggregateReport:
 
 
 def aggregate_records(records: Sequence[RunRecord]) -> AggregateReport:
-    """Mean and sample standard deviation of the final test metrics across seeds."""
+    """Mean and sample standard deviation of the final test metrics across seeds; a repeated seed is refused."""
     if not records:
         raise ConfigurationError("no run records to aggregate")
     first = records[0]
@@ -76,6 +76,10 @@ def aggregate_records(records: Sequence[RunRecord]) -> AggregateReport:
             )
         if r.class_names != first.class_names:
             raise ConfigurationError("run records disagree on class names")
+    seeds = [r.seed for r in records]
+    for seed in seeds:
+        if seeds.count(seed) > 1:
+            raise ConfigurationError(f"run records repeat seed {seed} of config {first.config_hash}")
 
     num_classes = len(first.class_names)
     per_class = tuple(
@@ -86,7 +90,7 @@ def aggregate_records(records: Sequence[RunRecord]) -> AggregateReport:
         dataset_hash=first.dataset_hash,
         arm_label=first.arm_label,
         class_names=tuple(first.class_names),
-        seeds=tuple(r.seed for r in records),
+        seeds=tuple(seeds),
         per_class_f1=per_class,
         micro_f1=_mean_std([r.final_test_metrics.micro_f1 for r in records]),
         macro_f1=_mean_std([r.final_test_metrics.macro_f1 for r in records]),

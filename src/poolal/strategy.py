@@ -139,7 +139,9 @@ def row_entropies(probas: np.ndarray) -> np.ndarray:
 
     Bit-identical below 8 classes, where numpy sums in order and a 0*ln(0)
     term adds exactly 0; from 8 classes numpy's pairwise summation may group
-    terms differently, so the last bits can differ.
+    terms differently, so the last bits can differ. The softmax that makes
+    ``probas`` sums the classes of a block of rows in index order instead
+    (see :mod:`poolal.learner`), which has the same bits below 8 classes.
     """
     return -(probas * np.log(np.where(probas > 0, probas, 1.0))).sum(axis=1)
 

@@ -799,6 +799,19 @@ class TestReportVerb:
         assert main(["report", str(record_path), str(clone)]) == 2
         assert "mismatched datasets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("copy", [False, True], ids=["same-file", "copied-file"])
+    def test_repeated_seed_exits_2(self, run_cfg_file, tmp_path, capsys, copy):
+        main(["run", "--config", str(run_cfg_file), "--seed", "1"])
+        record = next((tmp_path / "out").glob("run-*.json"))
+        again = tmp_path / "again.json" if copy else record
+        if copy:
+            again.write_bytes(record.read_bytes())
+        capsys.readouterr()
+        assert main(["report", str(record), str(again), "--out", str(tmp_path / "rep")]) == 2
+        config_hash = json.loads(record.read_text())["config_hash"]
+        assert capsys.readouterr().err == f"error: run records repeat seed 1 of config {config_hash}\n"
+        assert not (tmp_path / "rep").exists()
+
     def test_malformed_record_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

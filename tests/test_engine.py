@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from conftest import make_split, record_payload
 from poolal import engine
@@ -352,7 +352,10 @@ class TestSweep:
     def test_repeated_seed_std_exactly_zero(self):
         bundle = small_bundle()
         records = [run_one(bundle, al_config(), 5, dataset_hash="h") for _ in range(3)]
-        agg = aggregate_records(records)
+        with pytest.raises(ConfigurationError, match=f"^run records repeat seed 5 of config {records[0].config_hash}$"):
+            aggregate_records(records)
+        # three runs of one seed are identical records; under distinct seed labels their std is exactly 0
+        agg = aggregate_records([replace(r, seed=s) for r, s in zip(records, (5, 6, 7))])
         assert agg.macro_f1.std == 0.0
         assert agg.micro_f1.std == 0.0
 

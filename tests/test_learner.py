@@ -5,6 +5,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_split
 from oracles import loss_and_gradient, reference_sgd
@@ -253,6 +256,73 @@ class TestTrain:
         assert np.mean(predict_batch(model, X) == y) == 1.0
 
 
+def row_major_softmax(z):
+    """The softmax as computed before the class-major layout: reductions over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def row_major_mean_cross_entropy(z, y, class_sum=lambda e: e.sum(axis=1)):
+    """Mean cross-entropy of logits ``(B, I)`` by the row-major log-sum-exp it had before."""
+    zmax = z.max(axis=1)
+    e = z - zmax[:, None]
+    np.exp(e, out=e)
+    lse = zmax + np.log(class_sum(e))
+    return float(np.mean(lse - z[np.arange(len(y)), y]))
+
+
+def index_order_sum(e):
+    """Sum over the last axis adding class 0, then 1, then 2, and so on."""
+    total = e[..., 0].copy()
+    for i in range(1, e.shape[-1]):
+        total += e[..., i]
+    return total
+
+
+def mean_cross_entropy_of(z, y):
+    """``learner._mean_cross_entropy`` on the given logits."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learner, "_forward", lambda kind, params, X: (None, z.copy()))
+        return learner._mean_cross_entropy("softmax_linear", {}, None, y)
+
+
+# Spreads up to 1400, where exp underflows to 0, and ties and signed zeros among the maxima.
+LOGITS = st.floats(-700.0, 700.0) | st.sampled_from([0.0, -0.0, 1.0, 700.0, -700.0])
+
+
+@st.composite
+def logit_stacks(draw, classes):
+    """Logits ``(S, B, I)``: 1 to 3 stacked jobs, 1 to 6 rows each."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(classes))
+    return draw(arrays(np.float64, shape, elements=LOGITS))
+
+
+class TestClassMajorSoftmax:
+    """The class-major softmax and log-sum-exp against the row-major formulas they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logit_stacks(st.integers(2, 7)))
+    def test_same_bits_as_row_major_below_8_classes(self, z):
+        assert learner._softmax(z.copy()).tobytes() == row_major_softmax(z).tobytes()
+        for block in z:
+            y = np.arange(len(block)) % block.shape[1]
+            assert mean_cross_entropy_of(block, y) == row_major_mean_cross_entropy(block, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(logit_stacks(st.integers(8, 16)))
+    def test_class_sum_in_index_order_from_8_classes(self, z):
+        # A lone row is one contiguous run in either layout, so numpy sums it as it sums a row.
+        class_sum = index_order_sum if z.shape[1] > 1 else (lambda e: e.sum(axis=-1))
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        p = learner._softmax(z.copy())
+        assert p.tobytes() == (e / class_sum(e)[..., None]).tobytes()
+        assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
+        for block in z:
+            y = np.arange(len(block)) % block.shape[1]
+            assert mean_cross_entropy_of(block, y) == row_major_mean_cross_entropy(block, y, class_sum)
+
+
 class TestGradients:
     def test_linear_gradient_check_tight(self):
         batch = make_split([0, 1, 2, 0, 1, 2, 0, 1], feature_dim=4)
@@ -281,46 +351,60 @@ class TestGradients:
             gradient_check(LearnerConfig(), make_split([]), RandomSource(0))
 
 
-def noisy_blobs(n, seed):
-    """Three overlapping 4-d classes, so validation loss turns and early stopping can fire."""
+def noisy_blobs(n, seed, classes=3):
+    """Overlapping classes in at least 4-d, so validation loss turns and early stopping can fire."""
     gen = np.random.default_rng(seed)
-    y = np.arange(n) % 3
-    X = gen.standard_normal((n, 4)) + np.eye(3, 4)[y]
+    y = np.arange(n) % classes
+    dim = max(4, classes)
+    X = gen.standard_normal((n, dim)) + np.eye(classes, dim)[y]
     return Split(X, y, [f"nb{seed}-{i}" for i in range(n)])
+
+
+REFERENCE_CASES = pytest.mark.parametrize(
+    "kwargs, early_stop",
+    [
+        ({"kind": "softmax_linear", "learning_rate": 0.05, "batch_size": 16, "max_epochs": 25, "patience": 25}, False),
+        ({"kind": "softmax_linear", "learning_rate": 2.0, "batch_size": 16, "max_epochs": 40, "patience": 2}, True),
+        ({"kind": "mlp", "hidden_units": 6, "learning_rate": 0.1, "batch_size": 16, "max_epochs": 25, "patience": 25, "init_scale": 0.5}, False),
+        ({"kind": "mlp", "hidden_units": 6, "learning_rate": 3.0, "batch_size": 16, "max_epochs": 40, "patience": 2, "init_scale": 0.5}, True),
+    ],
+)
+
+
+def assert_train_matches_reference(kwargs, early_stop, warm, classes):
+    train_split, val = noisy_blobs(101, seed=1, classes=classes), noisy_blobs(60, seed=2, classes=classes)
+    cfg = LearnerConfig(**kwargs, warm_start=warm)
+    initial = train(cfg, every_row(train_split, classes), val, RandomSource(5)) if warm else None
+    model = train(cfg, every_row(train_split, classes), val, RandomSource(7), initial=initial)
+
+    params, log, best_epoch, stopped_epoch = reference_sgd(
+        cfg.kind, train_split.X, train_split.y, val.X, val.y, RandomSource(7).generator(),
+        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, max_epochs=cfg.max_epochs,
+        patience=cfg.patience, num_classes=classes, hidden_units=cfg.hidden_units, init_scale=cfg.init_scale,
+        initial=None if initial is None else initial.params,
+    )
+    assert len(train_split) % cfg.batch_size != 0
+    assert (stopped_epoch < cfg.max_epochs) == early_stop
+    assert (model.best_epoch, model.stopped_epoch) == (best_epoch, stopped_epoch)
+    assert model.training_log == log
+    assert sorted(model.params) == sorted(params)
+    for k in params:
+        assert model.params[k].tobytes() == params[k].tobytes()
 
 
 class TestTrainMatchesReference:
     """``train`` steps with gradients only; it must stay bit-identical to the loss-and-gradient loop."""
 
-    @pytest.mark.parametrize(
-        "kwargs, early_stop",
-        [
-            ({"kind": "softmax_linear", "learning_rate": 0.05, "batch_size": 16, "max_epochs": 25, "patience": 25}, False),
-            ({"kind": "softmax_linear", "learning_rate": 2.0, "batch_size": 16, "max_epochs": 40, "patience": 2}, True),
-            ({"kind": "mlp", "hidden_units": 6, "learning_rate": 0.1, "batch_size": 16, "max_epochs": 25, "patience": 25, "init_scale": 0.5}, False),
-            ({"kind": "mlp", "hidden_units": 6, "learning_rate": 3.0, "batch_size": 16, "max_epochs": 40, "patience": 2, "init_scale": 0.5}, True),
-        ],
-    )
+    @REFERENCE_CASES
     @pytest.mark.parametrize("warm", [False, True])
     def test_bit_identical_to_reference(self, kwargs, early_stop, warm):
-        train_split, val = noisy_blobs(101, seed=1), noisy_blobs(60, seed=2)
-        cfg = LearnerConfig(**kwargs, warm_start=warm)
-        initial = train(cfg, every_row(train_split, 3), val, RandomSource(5)) if warm else None
-        model = train(cfg, every_row(train_split, 3), val, RandomSource(7), initial=initial)
+        assert_train_matches_reference(kwargs, early_stop, warm, classes=3)
 
-        params, log, best_epoch, stopped_epoch = reference_sgd(
-            cfg.kind, train_split.X, train_split.y, val.X, val.y, RandomSource(7).generator(),
-            learning_rate=cfg.learning_rate, batch_size=cfg.batch_size, max_epochs=cfg.max_epochs,
-            patience=cfg.patience, num_classes=3, hidden_units=cfg.hidden_units, init_scale=cfg.init_scale,
-            initial=None if initial is None else initial.params,
-        )
-        assert len(train_split) % cfg.batch_size != 0
-        assert (stopped_epoch < cfg.max_epochs) == early_stop
-        assert (model.best_epoch, model.stopped_epoch) == (best_epoch, stopped_epoch)
-        assert model.training_log == log
-        assert sorted(model.params) == sorted(params)
-        for k in params:
-            assert model.params[k].tobytes() == params[k].tobytes()
+    @REFERENCE_CASES
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_bit_identical_to_reference_with_7_classes(self, kwargs, early_stop, warm):
+        """The most classes whose class-major sum keeps the row-major bits."""
+        assert_train_matches_reference(kwargs, early_stop, warm, classes=7)
 
 
 def assert_same_model(a, b):
