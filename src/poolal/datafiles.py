@@ -8,6 +8,17 @@ value-identical. The manifest carries class names, feature dimension,
 per-split class counts (checked on load), the generator spec for synthetic
 data, and a digest of the CSV bytes that run records embed and reports compare.
 
+:func:`write_dataset`, which ``poolal generate`` calls, also writes
+``columns.bin``: the parsed columns, so that each later ``run`` or ``sweep``
+loads them instead of parsing the CSVs again. It is derived data, safe to
+delete, and no reader writes it. It opens with the SHA-256 of the three CSVs
+and of the class names its labels index, then holds each split's ``X``, ``y``
+and ``ids`` as ``.npy`` arrays (format 1.0, no pickle). :func:`read_dataset`
+uses it only when that head matches the files and the manifest, and each
+array's header gives the manifest's shape and an exact dtype before the array
+is allocated; anything else, a dataset from elsewhere included, parses the
+CSVs. Either way the same checks follow.
+
 This is the one module that knows a file format. Configs and generator specs
 are YAML, read by :func:`load_yaml`. Every JSON file is written by
 :func:`_write_json` and read back by :func:`_read_json` as a dataclass
@@ -21,10 +32,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import os
 from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 import yaml
@@ -51,6 +64,8 @@ __all__ = [
 ]
 
 SPLIT_FILES = (("train", "train.csv"), ("validation", "val.csv"), ("test", "test.csv"))
+COLUMNS_FILE = "columns.bin"
+_COLUMNS_MAGIC = b"poolal columns 1"
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,11 @@ class Manifest:
     counts: dict[str, list[int]]
     generator: dict | None = None
     dataset_hash: str | None = None
+
+    def __post_init__(self) -> None:
+        splits = [split_name for split_name, _ in SPLIT_FILES]
+        if sorted(self.counts) != sorted(splits):
+            raise ConfigurationError(f"counts must have the keys {splits}, got {sorted(self.counts)}")
 
 
 @dataclass(frozen=True)
@@ -153,22 +173,79 @@ def _write_json(path: Path | str, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _hash_csv_files(out_dir: Path) -> str:
+def _csv_digest(data_dir: Path) -> bytes:
+    """The SHA-256 of the three split CSVs' bytes, in split order; its first 12 hex digits are the dataset hash."""
     h = hashlib.sha256()
     for _, fname in SPLIT_FILES:
-        with (out_dir / fname).open("rb") as f:
+        with (data_dir / fname).open("rb") as f:
             while piece := f.read(1 << 16):  # small pieces, as in _parse_rows
                 h.update(piece)
-    return h.hexdigest()[:12]
+    return h.digest()
+
+
+def _columns_head(csv_digest: bytes, class_names: Iterable[str]) -> bytes:
+    """The bytes that open a columns file: the CSVs' digest, and the digest of the class names its labels index."""
+    names = json.dumps(list(class_names)).encode("utf-8")
+    return _COLUMNS_MAGIC + csv_digest + hashlib.sha256(names).digest()
+
+
+def _stored_columns(split: Split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, y, ids)`` as the CSV parse gives them: the ids as wide as the longest, as a list of them makes them."""
+    width = int(np.char.str_len(split.ids).max(initial=1))
+    return split.X, split.y, split.ids.astype(f"<U{width}", copy=False)
+
+
+def _read_columns(path: Path, head: bytes, manifest: Manifest) -> dict[str, tuple] | None:
+    """Each split's ``(X, y, ids)`` from columns file ``path``, or None where it may not stand for the CSVs.
+
+    The file must open with ``head``; each array's header must give the shape
+    the manifest implies, C order and an exact dtype (``<f8``, ``<i8``, a
+    ``<U`` string) before the array is allocated, and no more bytes than are
+    left in the file; the arrays must end where the file ends. A missing file
+    or a header numpy refuses gives None too.
+    """
+    try:
+        with path.open("rb") as f:
+            if f.read(len(head)) != head:
+                return None
+            size = os.fstat(f.fileno()).st_size
+            splits = {}
+            for split_name, _ in SPLIT_FILES:
+                n = sum(manifest.counts[split_name])
+                columns = []
+                for shape, dtype_str in (((n, manifest.feature_dim), "<f8"), ((n,), "<i8"), ((n,), "<U")):
+                    if np.lib.format.read_magic(f) != (1, 0):
+                        return None
+                    got_shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
+                    exact = dtype.str == dtype_str or (dtype_str == "<U" == dtype.str[:2] and dtype.itemsize > 0)
+                    if got_shape != shape or fortran_order or not exact:
+                        return None
+                    nbytes = math.prod(shape) * dtype.itemsize
+                    if nbytes > size - f.tell():
+                        return None
+                    column = np.empty(shape, dtype)  # a negative dimension raises ValueError
+                    if f.readinto(column) != nbytes:
+                        return None
+                    columns.append(column)
+                splits[split_name] = tuple(columns)
+            return None if f.read(1) else splits
+    except (OSError, ValueError):
+        return None
 
 
 def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: GeneratorSpec | None = None) -> str:
-    """Write the three split CSVs and the manifest; returns the dataset hash."""
+    """Write the three split CSVs, their columns file and the manifest; returns the dataset hash."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for split_name, fname in SPLIT_FILES:
         _write_split_csv(out / fname, getattr(bundle, split_name), bundle.class_names, bundle.feature_dim)
-    dataset_hash = _hash_csv_files(out)
+    csv_digest = _csv_digest(out)
+    with (out / COLUMNS_FILE).open("wb") as f:  # .npy bytes stamp no time: equal columns, equal bytes
+        f.write(_columns_head(csv_digest, bundle.class_names))
+        for split_name, _ in SPLIT_FILES:
+            for column in _stored_columns(getattr(bundle, split_name)):
+                np.lib.format.write_array(f, column, version=(1, 0), allow_pickle=False)
+    dataset_hash = csv_digest.hex()[:12]
     manifest = Manifest(
         schema_version=1,
         classes=list(bundle.class_names),
@@ -181,23 +258,18 @@ def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: Ge
     return dataset_hash
 
 
-def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> Split:
-    """One split CSV, parsed by numpy's C reader where it reads the file as :mod:`csv` does.
+def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> tuple:
+    """One split CSV's ``(X, y, ids)``, parsed by numpy's C reader where it reads the file as :mod:`csv` does.
 
     Anywhere else :func:`_scan_split_csv` reads it again row by row: it
     accepts what the reader always accepted and names the first faulty line.
     """
     rows = _parse_rows(path, name_to_index, feature_dim)
     if rows is None:
-        columns = _scan_split_csv(path, name_to_index, feature_dim)
-    else:
-        # copies, not views that would keep the records and their id objects alive;
-        # from a list, the ids get the width a list gives
-        columns = rows["X"].copy(), rows["label"].copy(), rows["id"].tolist()
-    try:
-        return Split(*columns)
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{path}: {e}") from None
+        return _scan_split_csv(path, name_to_index, feature_dim)
+    # copies, not views that would keep the records and their id objects alive;
+    # from a list, the ids get the width a list gives
+    return rows["X"].copy(), rows["label"].copy(), rows["id"].tolist()
 
 
 def _parse_rows(path: Path, name_to_index: dict[str, int], feature_dim: int) -> np.ndarray | None:
@@ -277,20 +349,29 @@ def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, Manifest]:
         raise ConfigurationError(f"no manifest.json in {data_dir}")
     manifest = _read_json(Manifest, manifest_path, "manifest")
 
+    paths = {split_name: data_dir / fname for split_name, fname in SPLIT_FILES}
+    # with a split file missing, the loop below names it where the CSV reader always did
+    csv_digest = _csv_digest(data_dir) if all(path.is_file() for path in paths.values()) else None
+    stored = None
+    if csv_digest is not None:
+        stored = _read_columns(data_dir / COLUMNS_FILE, _columns_head(csv_digest, manifest.classes), manifest)
     name_to_index = {n: i for i, n in enumerate(manifest.classes)}
     splits = {}
-    for split_name, fname in SPLIT_FILES:
-        path = data_dir / fname
+    for split_name, path in paths.items():
         if not path.is_file():
             raise ConfigurationError(f"missing split file {path}")
-        split = _read_split_csv(path, name_to_index, manifest.feature_dim)
+        columns = stored[split_name] if stored else _read_split_csv(path, name_to_index, manifest.feature_dim)
+        try:
+            split = Split(*columns)
+        except ConfigurationError as e:
+            raise ConfigurationError(f"{path}: {e}") from None
         counts = np.bincount(split.y, minlength=len(manifest.classes)).tolist()
-        declared = manifest.counts.get(split_name)
+        declared = manifest.counts[split_name]
         if counts != declared:
             raise ConfigurationError(f"{path}: class counts {counts} differ from the manifest's {declared}")
         splits[split_name] = split
 
-    dataset_hash = _hash_csv_files(data_dir)
+    dataset_hash = csv_digest.hex()[:12]
     declared = manifest.dataset_hash
     if declared is not None and declared != dataset_hash:
         raise ConfigurationError(

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from test_golden import ARMS
 from poolal.cli import main
 from poolal.config import ExperimentConfig
 from poolal.datafiles import (
+    COLUMNS_FILE,
     SPLIT_FILES,
     load_model,
     load_run_record,
@@ -266,8 +268,15 @@ class TestGenerateVerb:
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         assert main(["generate", "--spec", str(spec_file), "--out", str(out1)]) == 0
         assert main(["generate", "--spec", str(spec_file), "--out", str(out2)]) == 0
-        for fname in ("train.csv", "val.csv", "test.csv", "manifest.json"):
+        files = ["train.csv", "val.csv", "test.csv", "manifest.json", COLUMNS_FILE]
+        for fname in files:
             assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
+        # another seed into the same directory replaces each file, the columns file too
+        assert main(["generate", "--spec", str(spec_file), "--seed", "99", "--out", str(out1)]) == 0
+        assert sorted(p.name for p in out1.iterdir()) == sorted(files)
+        assert (out1 / COLUMNS_FILE).read_bytes() != (out2 / COLUMNS_FILE).read_bytes()
+        with mock.patch("poolal.datafiles._read_split_csv", side_effect=AssertionError("parsed a CSV")):
+            read_dataset(out1)  # the new columns file stands for the new CSVs
 
     def test_preset_generate(self, tmp_path):
         out = tmp_path / "preset-data"
@@ -416,6 +425,22 @@ class TestIngestFaults:
     def test_unknown_manifest_key_refused(self, run_cfg_file, dataset_dir, capsys):
         _edit_manifest(dataset_dir, lambda m: m.update(source="scanner"))
         self._run_fails(run_cfg_file, capsys, "manifest.json: unknown keys ['source']")
+
+    @pytest.mark.parametrize(
+        "edit, keys",
+        [
+            (lambda counts: counts.update(bogus=[1, 2]), "['bogus', 'test', 'train', 'validation']"),
+            (lambda counts: counts.pop("validation"), "['test', 'train']"),
+        ],
+        ids=["unknown-split", "missing-split"],
+    )
+    def test_manifest_counts_must_name_the_three_splits(self, run_cfg_file, dataset_dir, capsys, edit, keys):
+        _edit_manifest(dataset_dir, lambda m: edit(m["counts"]))
+        self._run_fails(
+            run_cfg_file,
+            capsys,
+            f"{dataset_dir / 'manifest.json'}: counts must have the keys ['train', 'validation', 'test'], got {keys}",
+        )
 
     def test_manifest_counts_must_match_the_csv(self, run_cfg_file, dataset_dir, capsys):
         def shift_one(manifest):
