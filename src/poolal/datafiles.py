@@ -16,8 +16,8 @@ and of the class names its labels index, then holds each split's ``X``, ``y``
 and ``ids`` as ``.npy`` arrays (format 1.0, no pickle). :func:`read_dataset`
 uses it only when that head matches the files and the manifest, and each
 array's header gives the manifest's shape and an exact dtype before the array
-is allocated; anything else, a dataset from elsewhere included, parses the
-CSVs. Either way the same checks follow.
+is allocated; anything else, a dataset from elsewhere included, is read by
+the one CSV reader, :func:`_read_split_csv`. Either way the same checks follow.
 
 This is the one module that knows a file format. Configs and generator specs
 are YAML, read by :func:`load_yaml`. Every JSON file is written by
@@ -178,7 +178,7 @@ def _csv_digest(data_dir: Path) -> bytes:
     h = hashlib.sha256()
     for _, fname in SPLIT_FILES:
         with (data_dir / fname).open("rb") as f:
-            while piece := f.read(1 << 16):  # small pieces, as in _parse_rows
+            while piece := f.read(1 << 16):  # small pieces: a freed file-sized buffer leaves a hole in the heap
                 h.update(piece)
     return h.digest()
 
@@ -258,86 +258,36 @@ def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: Ge
     return dataset_hash
 
 
-def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> tuple:
-    """One split CSV's ``(X, y, ids)``, parsed by numpy's C reader where it reads the file as :mod:`csv` does.
+def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> tuple[np.ndarray, array, list[str]]:
+    """One split CSV's ``(X, y, ids)``, read row by row with :mod:`csv` and ``float``.
 
-    Anywhere else :func:`_scan_split_csv` reads it again row by row: it
-    accepts what the reader always accepted and names the first faulty line.
+    A wrong header or the first faulty row raises, naming the path and the
+    row's line; a byte that is not UTF-8, anywhere in the file, raises naming the path.
     """
-    rows = _parse_rows(path, name_to_index, feature_dim)
-    if rows is None:
-        return _scan_split_csv(path, name_to_index, feature_dim)
-    # copies, not views that would keep the records and their id objects alive;
-    # from a list, the ids get the width a list gives
-    return rows["X"].copy(), rows["label"].copy(), rows["id"].tolist()
-
-
-def _parse_rows(path: Path, name_to_index: dict[str, int], feature_dim: int) -> np.ndarray | None:
-    """Check the header, then parse the rows below it as ``(id, label, X)`` records with numpy's C reader.
-
-    Returns None where that reader may differ from :mod:`csv`, or where the
-    row-by-row reader must name the faulty line: on a carriage return, a
-    blank line (which the C reader skips), a line break inside quotes (one
-    row, two lines), a row of the wrong length, an unknown class name, or a
-    cell the C reader cannot parse as a float but ``float`` can (``1_0``).
-    """
-    try:
-        with path.open("r", newline="", encoding="utf-8") as f:
-            header = next(csv.reader(f), None) or []
-            # the length first: a huge manifest feature_dim must not build its column names
-            if len(header) != 2 + feature_dim or header != ["id", "label"] + [f"f{i}" for i in range(feature_dim)]:
-                raise ConfigurationError(f"{path}: unexpected header {header!r}")
-            # read in small pieces: a freed text the size of the file leaves a hole in the heap below
-            # the parsed columns, which the process keeps and the workers of a parallel sweep inherit
-            n, last = 0, "\n"  # lines below the header; the character before the piece
-            while piece := f.read(1 << 16):
-                if "\r" in piece or "\n\n" in piece or last + piece[0] == "\n\n":
-                    return None
-                n += piece.count("\n")
-                last = piece[-1]
-    except UnicodeDecodeError as e:
-        raise ConfigurationError(f"{path}: not UTF-8 text: {e}") from None
-    n += last != "\n"  # the last line may lack its newline
-    row_type = np.dtype([("id", object), ("label", np.int64), ("X", np.float64, (feature_dim,))])
-    if not n:  # loadtxt warns on a file without rows
-        return np.empty(0, dtype=row_type)
-    try:
-        rows = np.loadtxt(
-            path,
-            dtype=row_type,
-            delimiter=",",
-            quotechar='"',
-            comments=None,
-            skiprows=1,
-            encoding="utf-8",
-            ndmin=1,
-            converters={1: name_to_index.__getitem__},  # loadtxt turns its KeyError into a ValueError
-        )
-    except ValueError:
-        return None
-    return rows if len(rows) == n else None
-
-
-def _scan_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int) -> tuple[np.ndarray, array, list[str]]:
-    """The split's ``(X, y, ids)`` read row by row with :mod:`csv` and ``float``; the first faulty row raises, naming its line."""
     ids: list[str] = []
     labels = array("q")
     features = array("d")
-    with path.open("r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        next(reader)  # the header, checked by _parse_rows
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2 + feature_dim:
-                raise ConfigurationError(f"{path}:{lineno}: expected {2 + feature_dim} columns, got {len(row)}")
-            label = name_to_index.get(row[1])
-            if label is None:
-                raise ConfigurationError(f"{path}:{lineno}: unknown class name {row[1]!r}")
-            try:
-                features.extend(map(float, row[2:]))
-            except ValueError as e:
-                raise ConfigurationError(f"{path}:{lineno}: {e}") from None
-            ids.append(row[0])
-            labels.append(label)
+    try:
+        with path.open("r", newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, None) or []
+            # the length first: a huge manifest feature_dim must not build its column names
+            if len(header) != 2 + feature_dim or header != ["id", "label"] + [f"f{i}" for i in range(feature_dim)]:
+                raise ConfigurationError(f"{path}: unexpected header {header!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 2 + feature_dim:
+                    raise ConfigurationError(f"{path}:{lineno}: expected {2 + feature_dim} columns, got {len(row)}")
+                label = name_to_index.get(row[1])
+                if label is None:
+                    raise ConfigurationError(f"{path}:{lineno}: unknown class name {row[1]!r}")
+                try:
+                    features.extend(map(float, row[2:]))
+                except ValueError as e:
+                    raise ConfigurationError(f"{path}:{lineno}: {e}") from None
+                ids.append(row[0])
+                labels.append(label)
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {e}") from None
     return np.frombuffer(features, dtype=np.float64).reshape(len(ids), feature_dim), labels, ids
 
 

@@ -287,7 +287,8 @@ def run_sweep(
     as one stack (:func:`poolal.learner.train_stack`). Strategies, random
     streams and records stay per seed, and seeds share only the immutable
     bundle, so neither ``jobs`` nor the stacking changes any result. With
-    more than one stack, each runs in its own worker process.
+    more than one stack, each runs in its own worker process. ``jobs`` must
+    be at least 1.
     """
     if not seeds:
         raise ConfigurationError("run_sweep needs at least one seed")
@@ -295,11 +296,13 @@ def run_sweep(
         raise ConfigurationError(f"seeds must be >= 0, got {min(seeds)}")
     if len(set(seeds)) < len(seeds):
         raise ConfigurationError(f"seeds must be distinct, got {list(seeds)}")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if config.arm == "sl" and subset_size(len(bundle.train), config.sl_fraction) == 0:
         raise ConfigurationError(
             f"sl_fraction must select at least one of the {len(bundle.train)} train rows, got {config.sl_fraction!r}"
         )
-    stacks = np.array_split(np.arange(len(seeds)), min(max(jobs, 1), len(seeds)))  # the longer stacks first
+    stacks = np.array_split(np.arange(len(seeds)), min(jobs, len(seeds)))  # the longer stacks first
     tasks = [(bundle, config, [int(seeds[i]) for i in stack], dataset_hash) for stack in stacks]
     if len(tasks) == 1:
         return _run_one_star(tasks[0])

@@ -395,8 +395,12 @@ class TestIngestFaults:
 
     def test_non_utf8_file_names_path(self, run_cfg_file, dataset_dir, capsys):
         path = dataset_dir / "train.csv"
-        path.write_bytes(path.read_bytes().replace(b"train-000003", b"train-\xff00003", 1))
-        self._run_fails(run_cfg_file, capsys, f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+        text = path.read_bytes()
+        last_row = text.rindex(b"\ntrain-") + 1
+        assert last_row > 8192  # past the first chunk the text decoder reads
+        for row in (text.index(b"train-000003"), last_row):  # the byte on line 4, then on the last line
+            path.write_bytes(text[: row + 6] + b"\xff" + text[row + 7 :])
+            self._run_fails(run_cfg_file, capsys, f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
 
     def test_malformed_manifest_json(self, run_cfg_file, dataset_dir, capsys):
         (dataset_dir / "manifest.json").write_text("{not json")
@@ -477,6 +481,12 @@ def _crlf(dataset_dir):
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
 
 
+def _cr_only(dataset_dir):
+    for fname in ("train.csv", "val.csv", "test.csv"):
+        path = dataset_dir / fname
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+
+
 def _header_only_val(dataset_dir):
     path = dataset_dir / "val.csv"
     path.write_text(path.read_text(encoding="utf-8").splitlines(keepends=True)[0], encoding="utf-8")
@@ -506,6 +516,7 @@ class TestIngestEdgeCases:
             pytest.param(_edit_row(lambda c: c[:2] + [f" {c[2]} "] + c[3:]), None, id="spaced-number"),
             pytest.param(_edit_row(lambda c: ['"x,""y"" #z"'] + c[1:]), None, id="quoted-id"),
             pytest.param(_crlf, None, id="crlf"),
+            pytest.param(_cr_only, None, id="cr-only"),
             pytest.param(
                 _edit_row(lambda c: ['"x\ny"'] + c[1:]), "train: sample id 'x\\ny' holds a line break", id="line-break-id"
             ),
@@ -746,6 +757,13 @@ class TestRunVerb:
         assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", cfg)), *flags]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
         assert errors == ["error: seeds must be distinct, got [1, 1]"]
+        assert not list((tmp_path / "o").glob("run-*.json"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, run_cfg_file, tmp_path, capsys, jobs):
+        assert main(["sweep", "--config", str(run_cfg_file), "--jobs", jobs, "--out", str(tmp_path / "o")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: jobs must be >= 1, got {jobs}"]
         assert not list((tmp_path / "o").glob("run-*.json"))
 
 
