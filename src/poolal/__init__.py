@@ -30,7 +30,6 @@ from .errors import (
     ConfigurationError,
     EvaluationError,
     PoolalError,
-    PoolsExhaustedError,
     RunError,
     TrainingError,
 )

@@ -201,6 +201,8 @@ class ExperimentConfig:
                 )
         if self.per_class_initial < 0:
             raise ConfigurationError(f"per_class_initial must be >= 0, got {self.per_class_initial}")
+        if self.budget < 0:
+            raise ConfigurationError(f"budget must be >= 0, got {self.budget}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be >= 1 or omitted/null to disable, got {self.max_iterations}"

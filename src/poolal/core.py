@@ -196,9 +196,6 @@ class ClassPools:
     def remaining_counts(self) -> list[int]:
         return [len(p) for p in self._pools]
 
-    def total_remaining(self) -> int:
-        return sum(len(p) for p in self._pools)
-
     def rows(self) -> np.ndarray:
         """Every pooled row, class by class, each pool front to back."""
         return np.concatenate(self._pools)
@@ -206,8 +203,7 @@ class ClassPools:
     def draw(self, class_index: int, n: int) -> np.ndarray:
         """Remove and return up to ``n`` rows from the front of one class pool.
 
-        Returns fewer than ``n`` when the pool runs short; callers detect the
-        shortfall from the length of the result.
+        Returns fewer than ``n`` when the pool runs short.
         """
         if not 0 <= class_index < len(self._pools):
             raise ConfigurationError(f"unknown class index {class_index} (have {len(self._pools)} pools)")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .core import ClassPools, DatasetBundle, RandomSource, Split, TrainingSet, class_balance, split_initial
-from .errors import ConfigurationError, PoolsExhaustedError, RunError, TrainingError
+from .errors import ConfigurationError, RunError, TrainingError
 from .learner import LearnerConfig, TrainedModel, TrainJob, predict_batch, train_stack
 from .metrics import MetricsReport, confusion, report
 from .strategy import Strategy, sample_fraction, subset_size
@@ -44,12 +44,12 @@ class IterationRecord:
 
     ``allocation`` and ``shortfall`` describe the append that follows this
     round; both stay at their defaults (None and zeros) on the terminal
-    iteration. For the allocating arms (``fnr_proportional``,
-    ``proportional_random``) ``allocation`` is the per-class request and
-    ``shortfall`` the part of it the pools could not provide. For
-    ``entropy_topk``, ``allocation`` counts the kept rows per class and
-    ``shortfall`` is each class's candidate share minus its pool stock before
-    the draw, not a gap in the kept rows.
+    iteration. On every arm ``shortfall`` is each class's request minus its
+    pool stock before the draw, floored at 0. For the allocating arms
+    (``fnr_proportional``, ``proportional_random``) ``allocation`` is the
+    per-class request. For ``entropy_topk`` the request is each class's
+    candidate share and ``allocation`` counts the kept rows per class, so
+    the shortfall is not a gap in the kept rows.
     """
 
     iteration: int
@@ -166,16 +166,12 @@ def _rounds(
             )
             break
 
-        try:
-            # keyed ("entropy", j): entropy top-k is the one arm that draws from this stream
-            new_rows, allocation, shortfall = strategy.acquire(model, pools, requested, rng.derive("entropy", j))
-        except PoolsExhaustedError as e:
-            stop_reason = f"pools exhausted: {e}"
-            break
+        # keyed ("entropy", j): entropy top-k is the one arm that draws from this stream
+        new_rows, allocation = strategy.acquire(model, pools, requested, rng.derive("entropy", j))
         if not len(new_rows):
-            stop_reason = "pools exhausted: nothing left to append"
+            stop_reason = f"pools exhausted: {strategy.exhausted}"
             break
-        rec.allocation, rec.shortfall = allocation, shortfall
+        rec.allocation, rec.shortfall = allocation, np.maximum(requested - remaining, 0).tolist()
         _check_append(ts, new_rows, pools, strategy.round_cap(config.budget))
         ts = ts.extended(new_rows)
 
@@ -225,14 +221,6 @@ def _run_stack(
     return out
 
 
-def _run_alone(bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str) -> RunRecord:
-    """Drive one seed's run as a stack of one; its failure is raised as is."""
-    (result,) = _run_stack(config.learner, bundle.validation, [_rounds(bundle, config, seed, dataset_hash)])
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def run_active_learning(
     bundle: DatasetBundle,
     config: ExperimentConfig,
@@ -247,19 +235,22 @@ def run_active_learning(
     """
     if config.arm != "al":
         raise ConfigurationError("run_active_learning needs an 'al' config with a strategy")
-    return _run_alone(bundle, config, seed, dataset_hash)
+    return run_one(bundle, config, seed, dataset_hash)
 
 
 def run_supervised(bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str = "") -> RunRecord:
     """One supervised round on a stratified ``config.sl_fraction`` of the train split."""
     if config.arm != "sl":
         raise ConfigurationError("run_supervised needs an 'sl' config with an sl_fraction")
-    return _run_alone(bundle, config, seed, dataset_hash)
+    return run_one(bundle, config, seed, dataset_hash)
 
 
 def run_one(bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str = "") -> RunRecord:
-    """Run a single seed of the configured arm."""
-    return _run_alone(bundle, config, seed, dataset_hash)
+    """Run a single seed of the configured arm as a stack of one; its failure is raised as is."""
+    (result,) = _run_stack(config.learner, bundle.validation, [_rounds(bundle, config, seed, dataset_hash)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _run_one_star(args: tuple[DatasetBundle, ExperimentConfig, Sequence[int], str]) -> list[RunRecord]:

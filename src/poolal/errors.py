@@ -17,9 +17,5 @@ class TrainingError(PoolalError):
     """Learner failure (dimension mismatch, divergence)."""
 
 
-class PoolsExhaustedError(PoolalError):
-    """No samples left in any class pool to satisfy a request."""
-
-
 class RunError(PoolalError):
     """A run or sweep failed; the message carries seed and iteration context."""

@@ -3,9 +3,10 @@
 Two native learners share one parameter/gradient layer: a softmax-linear
 model and a one-hidden-layer tanh MLP, both trained with mini-batch SGD on
 mean cross-entropy and patience-based early stopping. An SGD step is
-gradient-only; the loss is computed once per epoch, on the validation set
-alone, for early stopping. :func:`gradient_check` verifies the step's
-analytic gradients against central finite differences.
+gradient-only; the loss is computed on the validation set once per epoch,
+for early stopping, and on the training rows once per fit, to catch a
+divergence the validation loss misses. :func:`gradient_check` verifies the
+step's analytic gradients against central finite differences.
 
 :func:`train_stack` trains several jobs (one per seed of a sweep) as one
 stack: the parameters carry a leading stack axis, and each numpy call of an
@@ -53,6 +54,9 @@ KINDS = ("softmax_linear", "mlp")
 
 # Each kind's parameters and their axes: d features, I classes, H hidden units.
 PARAM_AXES = {"softmax_linear": {"W": "dI", "b": "I"}, "mlp": {"W1": "dH", "b1": "H", "W2": "HI", "b2": "I"}}
+
+# Rows per block of a fit's final training-loss check; a whole set's activations would raise peak memory.
+_LOSS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -324,6 +328,10 @@ def train_stack(
                 break
 
     for f in done + fits:
+        blocks = (f.rows[a : a + _LOSS_BLOCK] for a in range(0, len(f.rows), _LOSS_BLOCK))
+        if not all(np.isfinite(_mean_cross_entropy(kind, f.best_params, f.split.X[r], f.split.y[r])) for r in blocks):
+            out[f.job] = TrainingError(f"non-finite training loss at epoch {f.best_epoch} (training diverged)")
+            continue
         out[f.job] = TrainedModel(
             kind=config.kind,
             feature_dim=feature_dim,

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, ClassVar, Sequence
 import numpy as np
 
 from .core import ClassPools, RandomSource, Split
-from .errors import ConfigurationError, PoolsExhaustedError
+from .errors import ConfigurationError
 from .learner import TrainedModel, predict_proba, samples_to_arrays
 
 if TYPE_CHECKING:
@@ -185,17 +185,17 @@ def select_entropy_topk(
     counts proportional to ``full_train_delta``; the ``select_count`` rows with
     the highest predictive entropy are returned (entropy ties broken by sample
     id), and every unselected candidate goes back to its pool in
-    rng-shuffled order so the pool tail stays unordered.
+    rng-shuffled order so the pool tail stays unordered. The draw is empty
+    only when every pool is (:func:`candidate_targets` moves a short class's
+    share onto classes with stock); that empty int64 array returns unscored.
     """
     if select_count > candidate_count:
         raise ConfigurationError(f"select_count ({select_count}) must be <= candidate_count ({candidate_count})")
-    if pools.total_remaining() == 0:
-        raise PoolsExhaustedError("all class pools are empty")
 
     targets = candidate_targets(full_train_delta, candidate_count, pools)
     candidates = np.concatenate([pools.draw(i, int(t)) for i, t in enumerate(targets)])
     if not len(candidates):
-        raise PoolsExhaustedError("pools could not provide any entropy candidates")
+        return candidates
 
     X, _ = samples_to_arrays(candidates, pools.split)
     entropies = row_entropies(predict_proba(model, X))
@@ -249,10 +249,13 @@ class Strategy:
 
     After each round the engine takes :meth:`request`'s counts, has
     :meth:`acquire` take rows for them, and caps the append at :meth:`round_cap`.
-    ``none`` requests nothing, so its run ends after one round.
+    ``none`` requests nothing, so its run ends after one round. An empty draw
+    ends the run, with ``exhausted`` as its reason; the engine, not the
+    strategy, records each class's shortfall (see ``IterationRecord``).
     """
 
     name: ClassVar[str] = "none"
+    exhausted: ClassVar[str] = "nothing left to append"
 
     def request(self, rec: IterationRecord, pools: ClassPools, budget: int) -> np.ndarray | None:
         """Per-class counts wanted after round ``rec`` (int64), or None to stop."""
@@ -260,14 +263,10 @@ class Strategy:
 
     def acquire(
         self, model: TrainedModel, pools: ClassPools, requested: np.ndarray, rng: RandomSource
-    ) -> tuple[np.ndarray, list[int], list[int]]:
-        """Draw each class's request: ``(rows, allocation, shortfall)``.
-
-        ``allocation`` is the request and ``shortfall`` what each pool lacked.
-        """
+    ) -> tuple[np.ndarray, list[int]]:
+        """Draw what each pool has of its class's request: ``(rows, allocation)``, where allocation is the request."""
         drawn = [pools.draw(i, int(n)) for i, n in enumerate(requested)]
-        shortfall = [int(n) - len(got) for n, got in zip(requested, drawn)]
-        return np.concatenate(drawn), requested.tolist(), shortfall
+        return np.concatenate(drawn), requested.tolist()
 
     def round_cap(self, budget: int) -> int:
         """The most rows one append may add; 0 means no cap."""
@@ -299,6 +298,7 @@ class EntropyTopK(Strategy):
     """Draw ``candidate_count`` candidates by the full train balance, keep ``select_count``."""
 
     name: ClassVar[str] = "entropy_topk"
+    exhausted: ClassVar[str] = "no entropy candidates available"
     candidate_count: int
     select_count: int
 
@@ -316,22 +316,10 @@ class EntropyTopK(Strategy):
 
     def acquire(
         self, model: TrainedModel, pools: ClassPools, requested: np.ndarray, rng: RandomSource
-    ) -> tuple[np.ndarray, list[int], list[int]]:
-        """Keep the top-entropy candidates.
-
-        ``allocation`` counts the kept rows per class. ``shortfall`` is each
-        class's candidate share minus its pool stock before the draw, not a
-        gap in the kept rows.
-        """
-        remaining = np.asarray(pools.remaining_counts(), dtype=np.int64)
-        try:
-            rows = select_entropy_topk(
-                model, pools, _full_train_delta(pools), self.candidate_count, self.select_count, rng
-            )
-        except PoolsExhaustedError:
-            raise PoolsExhaustedError("no entropy candidates available") from None
-        allocation = np.bincount(pools.split.y[rows], minlength=pools.num_classes).tolist()
-        return rows, allocation, np.maximum(requested - remaining, 0).tolist()
+    ) -> tuple[np.ndarray, list[int]]:
+        """Keep the top-entropy candidates; ``allocation`` counts the kept rows per class."""
+        rows = select_entropy_topk(model, pools, _full_train_delta(pools), self.candidate_count, self.select_count, rng)
+        return rows, np.bincount(pools.split.y[rows], minlength=pools.num_classes).tolist()
 
     def round_cap(self, budget: int) -> int:
         return self.select_count

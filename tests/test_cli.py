@@ -210,6 +210,15 @@ class TestExperimentConfig:
             (dict(RUN_CFG, arm="xl"), "arm must be 'al' or 'sl', got 'xl'"),
             (dict(RUN_CFG, budget=0), "budget must be >= 1, got 0"),
             ({"arm": "sl", "sl_fraction": 0.5, "per_class_initial": -1}, "per_class_initial must be >= 0, got -1"),
+            pytest.param(
+                dict(RUN_CFG, strategy="entropy_topk", candidate_count=40, select_count=20, budget=-7),
+                "budget must be >= 0, got -7",
+                id="negative-budget-entropy_topk",
+            ),
+            pytest.param(dict(RUN_CFG, strategy="none", budget=-7), "budget must be >= 0, got -7", id="negative-budget-none"),
+            pytest.param(
+                {"arm": "sl", "sl_fraction": 0.5, "budget": -7}, "budget must be >= 0, got -7", id="negative-budget-sl"
+            ),
             (dict(RUN_CFG, seeds=[]), "seeds must contain at least one seed"),
             (
                 {"arm": "sl", "sl_fraction": 0.5, "candidate_count": 10},

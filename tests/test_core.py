@@ -54,7 +54,7 @@ class TestSplitInitial:
         train, counts = cohort_scale_train
         ts, pools = split_initial(train, 5, 25000, RandomSource(0))
         assert ts.size == 125000
-        assert pools.total_remaining() == 346016 - 125000 == 221016
+        assert sum(pools.remaining_counts()) == 346016 - 125000 == 221016
         assert ts.counts == [25000] * 5
         assert pools.remaining_counts() == [c - 25000 for c in counts]
 
@@ -154,7 +154,7 @@ class TestPools:
             cls = int(gen.integers(0, 3))
             drawn = pools.draw(cls, int(gen.integers(0, 4)))
             ts = ts.extended(drawn)
-            assert ts.size + pools.total_remaining() == 60
+            assert ts.size + sum(pools.remaining_counts()) == 60
             assert len(set(ts.rows.tolist())) == ts.size
 
 

@@ -148,6 +148,29 @@ class TestShortfallContinue:
         assert record.iterations[2].train_counts == [13, 20]
         assert record.total_labeled == 33
 
+    def test_pools_running_dry_end_the_run_at_the_empty_draw(self):
+        # pools start at [20, 30]; appends of 20 empty them with stop_on_exhaustion off
+        bundle = small_bundle(train_counts=(30, 40), overlap=())
+        cfg = al_config(per_class_initial=10, budget=20, max_iterations=20, stop_on_exhaustion=False)
+        record = run_active_learning(bundle, cfg, seed=0)
+        assert record.stop_reason == "pools exhausted: nothing left to append"
+        last = record.iterations[-1]
+        assert last.allocation is None and last.shortfall == [0, 0]
+        for it in record.iterations[:-1]:
+            stock = [total - held for total, held in zip((30, 40), it.train_counts)]
+            assert it.shortfall == [max(want - have, 0) for want, have in zip(it.allocation, stock)]
+        assert any(any(it.shortfall) for it in record.iterations)
+
+    def test_entropy_shortfall_is_the_share_beyond_the_stock(self):
+        # pools start at [5, 45]; the full train balance [0.25, 0.75] shares 40 candidates as [10, 30]
+        bundle = small_bundle(train_counts=(20, 60), overlap=())
+        cfg = al_config(
+            strategy="entropy_topk", candidate_count=40, select_count=10, budget=0, per_class_initial=15, max_iterations=1
+        )
+        record = run_active_learning(bundle, cfg, seed=0)
+        assert record.iterations[0].shortfall == [max(10 - 5, 0), max(30 - 45, 0)] == [5, 0]
+        assert sum(record.iterations[0].allocation) == 10
+
 
 class TestSingleRound:
     def test_strategy_none_is_one_round_with_no_allocation(self):

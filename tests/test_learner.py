@@ -226,6 +226,19 @@ class TestTrain:
         with pytest.raises(TrainingError, match=r"non-finite loss at epoch 1 \(training diverged\)"):
             train(cfg, ts, Split(samples.X[:2], samples.y[:2], samples.ids[:2]), RandomSource(0))
 
+    def test_training_loss_overflow_names_the_best_epoch(self):
+        # Parameters and validation loss stay finite, but the spread between a training
+        # row's logits overflows, so its true class gets probability 0 and the loss is inf.
+        gen = np.random.default_rng(0)
+        samples = Split([gen.standard_normal(2) for _ in range(8)], [i % 2 for i in range(8)], [f"d{i}" for i in range(8)])
+        cfg = LearnerConfig(
+            kind="mlp", hidden_units=2, learning_rate=1e308, init_scale=1.0, batch_size=8, max_epochs=20, patience=20
+        )
+        validation = Split(samples.X[:2], samples.y[:2], samples.ids[:2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match=r"^non-finite training loss at epoch 2 \(training diverged\)$"):
+                train(cfg, every_row(samples), validation, RandomSource(0))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -243,9 +256,13 @@ class TestTrain:
         monkeypatch.setattr(learner, "_mean_cross_entropy", counting)
         val = noisy_blobs(60, seed=2)
         cfg = LearnerConfig(batch_size=16, **kwargs)
-        model = train(cfg, every_row(noisy_blobs(101, seed=1), 3), val, RandomSource(7))
-        assert len(calls) == model.stopped_epoch == len(model.training_log)
-        assert all(X is val.X and y is val.y for X, y in calls)
+        samples = noisy_blobs(101, seed=1)
+        model = train(cfg, every_row(samples, 3), val, RandomSource(7))
+        # one validation loss per epoch, then one training-row loss of the returned parameters
+        *epochs, (X, y) = calls
+        assert len(epochs) == model.stopped_epoch == len(model.training_log)
+        assert all(X is val.X and y is val.y for X, y in epochs)
+        assert np.array_equal(X, samples.X) and np.array_equal(y, samples.y)
 
     def test_mlp_learns_blobs(self):
         samples = blob_samples(40)

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_split, pools_of
 from oracles import brute_force_allocation
 from poolal.core import ClassPools, RandomSource, Split
-from poolal.errors import ConfigurationError, PoolsExhaustedError
+from poolal.errors import ConfigurationError
 from poolal.learner import TrainedModel
 from poolal.strategy import (
     allocate_fnr,
@@ -215,7 +215,7 @@ class TestSelectEntropyTopK:
             margin_model(), pools, [0.75, 0.25], candidate_count=4, select_count=4, rng=RandomSource(0)
         )
         assert set(split.ids[selected].tolist()) == {"e0", "e1", "e2"} | {"e-other"}
-        assert pools.total_remaining() == 0
+        assert sum(pools.remaining_counts()) == 0
 
     def test_top_entropy_selected_and_rest_returned(self):
         # |feature| 0 and 0.5 give the two highest entropies; 2.0 and 3.0 are confident
@@ -253,10 +253,16 @@ class TestSelectEntropyTopK:
             if hs and hr:
                 assert min(hs) >= max(hr) - 1e-12
 
-    def test_exhausted_pools_signal(self):
+    def test_exhausted_pools_signal(self, monkeypatch):
+        # empty pools give an empty draw, returned before any row is scored
+        def no_scoring(*args):
+            raise AssertionError("predict_proba called on an empty draw")
+
+        monkeypatch.setattr("poolal.strategy.predict_proba", no_scoring)
         pools = ClassPools(make_split([]), [[], []])
-        with pytest.raises(PoolsExhaustedError):
-            select_entropy_topk(margin_model(), pools, [0.5, 0.5], 4, 2, RandomSource(0))
+        rows = select_entropy_topk(margin_model(), pools, [0.5, 0.5], 4, 2, RandomSource(0))
+        assert rows.dtype == np.int64 and rows.shape == (0,)
+        assert pools.remaining_counts() == [0, 0]
 
     def test_candidate_shortfall_redistributed(self):
         # class 0 can only supply 1 of its 3-candidate share; class 1 covers the rest
@@ -280,7 +286,7 @@ class TestSelectEntropyTopK:
             model, pools, delta, candidate_count=30000, select_count=20000, rng=RandomSource(0)
         )
         assert len(selected) == 20000
-        assert pools.total_remaining() == sum(counts) - 20000
+        assert sum(pools.remaining_counts()) == sum(counts) - 20000
         drawn_per_class = np.array(counts) - np.array(pools.remaining_counts())
         selected_per_class = np.bincount(train.y[selected], minlength=5)
         assert np.array_equal(drawn_per_class, selected_per_class)
