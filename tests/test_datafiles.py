@@ -28,6 +28,7 @@ from poolal.datafiles import (
     SPLIT_FILES,
     _columns_head,
     _csv_digest,
+    _csv_rows,
     _stored_columns,
     read_dataset,
     write_dataset,
@@ -284,3 +285,42 @@ class TestColumnsFile:
         assert result.stdout == repr(want) + "\n"
         if claim == "rows":
             assert want.endswith("train.csv: class counts [4, 4, 4] differ from the manifest's [1000000000, 4, 4]")
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def small_bundle() -> DatasetBundle:
+    return make_bundle([0, 1, 2] * 5, [0, 1, 2], [0, 1, 2] * 2, 3, feature_dim=2)
+
+
+class TestTwoProcessWrite:
+    """``write_dataset`` formats each split's first half in a forked child: it must leave nothing behind."""
+
+    def test_no_child_is_left_running(self, tmp_path):
+        write_dataset(small_bundle(), tmp_path)
+        assert_no_child_left()
+
+    def test_a_failure_in_the_parent_propagates_and_reaps_the_child(self, tmp_path):
+        parent = os.getpid()
+
+        def fail_in_parent(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("formatting failed")
+            return _csv_rows(*args)
+
+        with mock.patch("poolal.datafiles._csv_rows", side_effect=fail_in_parent):
+            with pytest.raises(RuntimeError, match="formatting failed"):
+                write_dataset(small_bundle(), tmp_path)
+        assert_no_child_left()
+
+    def test_buffered_output_is_written_once(self, tmp_path, monkeypatch):
+        """The child leaves through ``os._exit``, which flushes no buffer it inherited."""
+        stdout = (tmp_path / "stdout.txt").open("w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("buffered on stdout")
+        write_dataset(small_bundle(), tmp_path)
+        stdout.close()
+        assert (tmp_path / "stdout.txt").read_text(encoding="utf-8") == "buffered on stdout\n"
