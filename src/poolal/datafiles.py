@@ -8,9 +8,10 @@ value-identical. The manifest carries class names, feature dimension,
 per-split class counts (checked on load), the generator spec for synthetic
 data, and a digest of the CSV bytes that run records embed and reports compare.
 
-:func:`write_dataset`, which ``poolal generate`` calls, formats each split's
-two halves in two processes, with the bytes one process would write; a
-failure in either is one error naming the path. It also writes
+:func:`write_dataset`, which ``poolal generate`` calls, writes ``train.csv``
+in a forked child while it writes ``val.csv`` and ``test.csv``, with the
+bytes one process would write; a failure in either is one error naming the
+path. It needs ``os.fork``, so it runs on POSIX systems only. It also writes
 ``columns.bin``: the parsed columns, so that each later ``run`` or ``sweep``
 loads them instead of parsing the CSVs again. It is derived data, safe to
 delete, and no reader writes it. It opens with the SHA-256 of the three CSVs
@@ -126,33 +127,30 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _csv_rows(split: Split, names: list[str], start: int, stop: int) -> str:
-    """Rows ``[start, stop)`` of ``split`` as CSV text, columns formatted apart: ``repr`` round-trips every float."""
-    columns = [map(repr, column) for column in split.X[start:stop].T.tolist()]
-    ids = map(_csv_cell, split.ids[start:stop].tolist())
-    cells = zip(ids, map(names.__getitem__, split.y[start:stop].tolist()), *columns)
-    return "".join(",".join(row) + "\n" for row in cells)
+def _write_split_csv(path: Path, split: Split, class_names: tuple[str, ...], feature_dim: int) -> None:
+    """Columns formatted apart, then streamed one line at a time: ``repr`` round-trips every float."""
+    names = [_csv_cell(n) for n in class_names]
+    columns = [map(repr, column) for column in split.X.T.tolist()]
+    cells = zip(map(_csv_cell, split.ids.tolist()), map(names.__getitem__, split.y.tolist()), *columns)
+    with path.open("w", newline="", encoding="utf-8") as f:
+        f.write(",".join(["id", "label"] + [f"f{i}" for i in range(feature_dim)]) + "\n")
+        f.writelines(",".join(row) + "\n" for row in cells)
 
 
 def _write_split_csvs(out: Path, bundle: DatasetBundle) -> None:
-    """A forked child writes each split CSV's header and first half of rows; this process appends the second halves.
+    """A forked child writes ``train.csv`` while this process writes ``val.csv`` and ``test.csv``.
 
     A failure in the child is raised here as an ``OSError`` with its message;
     a failure here kills and reaps the child before it propagates.
     """
-    names = [_csv_cell(n) for n in bundle.class_names]
-    header = ",".join(["id", "label"] + [f"f{i}" for i in range(bundle.feature_dim)]) + "\n"
-    splits = [(out / fname, getattr(bundle, split_name)) for split_name, fname in SPLIT_FILES]
+    (child_split, child_file), *own = SPLIT_FILES
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child leaves through os._exit: it runs no atexit handler and flushes no inherited buffer
         status = 1
         try:
             os.close(read_end)
-            for path, split in splits:
-                with path.open("w", newline="", encoding="utf-8") as f:
-                    f.write(header)
-                    f.write(_csv_rows(split, names, 0, len(split.ids) // 2))
+            _write_split_csv(out / child_file, getattr(bundle, child_split), bundle.class_names, bundle.feature_dim)
             status = 0
         except Exception as e:
             os.write(write_end, str(e).encode("utf-8", "replace"))
@@ -161,7 +159,8 @@ def _write_split_csvs(out: Path, bundle: DatasetBundle) -> None:
     os.close(write_end)
     with os.fdopen(read_end, "rb") as pipe:
         try:
-            texts = [_csv_rows(split, names, len(split.ids) // 2, len(split.ids)) for _, split in splits]
+            for split_name, fname in own:
+                _write_split_csv(out / fname, getattr(bundle, split_name), bundle.class_names, bundle.feature_dim)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -169,10 +168,7 @@ def _write_split_csvs(out: Path, bundle: DatasetBundle) -> None:
         message = pipe.read().decode("utf-8")
     status = os.waitpid(pid, 0)[1]
     if status != 0:
-        raise OSError(message or f"{out}: the process writing the first halves ended with wait status {status}")
-    for (path, _), text in zip(splits, texts):
-        with path.open("a", newline="", encoding="utf-8") as f:
-            f.write(text)
+        raise OSError(message or f"{out / child_file}: the process writing it ended with wait status {status}")
 
 
 def _read_text(path: Path | str) -> str:
@@ -278,10 +274,11 @@ def _read_columns(path: Path, head: bytes, manifest: Manifest) -> dict[str, tupl
 def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: GeneratorSpec | None = None) -> str:
     """Write the three split CSVs, their columns file and the manifest; returns the dataset hash.
 
-    Each split's two halves are formatted in two processes, with the bytes one
-    process would write; a failure in either raises one error naming the path.
-    The calling process forks: Python 3.12 and later warn on ``fork`` when
-    BLAS threads are live, as they do for ``run_sweep``'s fork pool.
+    A forked child writes ``train.csv`` while this process writes ``val.csv``
+    and ``test.csv``, with the bytes one process would write; a failure in
+    either raises one error naming the path. It needs ``os.fork``, so it runs
+    on POSIX systems only. Python 3.12 and later warn on ``fork`` when BLAS
+    threads are live, as they do for ``run_sweep``'s fork pool.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -26,6 +27,29 @@ def record_payload(record):
 def pools_of(split, num_classes):
     """Pools holding every row of ``split``, each class's rows in split order."""
     return ClassPools(split, [np.flatnonzero(split.y == c) for c in range(num_classes)])
+
+
+def assert_reaped(pids):
+    """Each child in ``pids`` has been waited for: ``waitpid`` no longer knows it."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture()
+def forked(monkeypatch):
+    """The pids of the children ``os.fork`` starts during the test, in order."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 def make_bundle(train_labels, val_labels, test_labels, num_classes, feature_dim=2, seed=0):

@@ -16,6 +16,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_reaped
 from oracles import reference_read_split_csv
 from test_golden import ARMS
 from poolal.cli import main
@@ -346,15 +347,14 @@ class TestGenerateVerb:
         assert rc == 2
         assert "error" in capsys.readouterr().err.lower()
 
-    def test_a_split_file_that_cannot_be_written_is_one_error_line(self, tmp_path, capsys):
-        """The first half of each split is written in a forked child; its failure reads as one written here."""
+    def test_a_split_file_that_cannot_be_written_is_one_error_line(self, tmp_path, capsys, forked):
+        """``train.csv`` is written in a forked child; its failure reads as one written here."""
         spec_file = write_yaml(tmp_path / "g.yaml", GEN_SPEC)
         out = tmp_path / "d"
         (out / "train.csv").mkdir(parents=True)
         assert main(["generate", "--spec", str(spec_file), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out / 'train.csv'}'\n"
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_reaped(forked)
 
 
 class TestDatasetRoundTrip:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_bundle
+from conftest import assert_reaped, make_bundle
 from oracles import reference_read_split_csv, reference_write_split_csv
 from test_cli import _edit_manifest
 from poolal.core import DatasetBundle, Split
@@ -28,7 +28,7 @@ from poolal.datafiles import (
     SPLIT_FILES,
     _columns_head,
     _csv_digest,
-    _csv_rows,
+    _write_split_csv,
     _stored_columns,
     read_dataset,
     write_dataset,
@@ -287,34 +287,45 @@ class TestColumnsFile:
             assert want.endswith("train.csv: class counts [4, 4, 4] differ from the manifest's [1000000000, 4, 4]")
 
 
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def small_bundle() -> DatasetBundle:
     return make_bundle([0, 1, 2] * 5, [0, 1, 2], [0, 1, 2] * 2, 3, feature_dim=2)
 
 
 class TestTwoProcessWrite:
-    """``write_dataset`` formats each split's first half in a forked child: it must leave nothing behind."""
+    """``write_dataset`` writes ``train.csv`` in a forked child: it must leave nothing behind."""
 
-    def test_no_child_is_left_running(self, tmp_path):
+    def test_no_child_is_left_running(self, tmp_path, forked):
         write_dataset(small_bundle(), tmp_path)
-        assert_no_child_left()
+        assert len(forked) == 1
+        assert_reaped(forked)
 
-    def test_a_failure_in_the_parent_propagates_and_reaps_the_child(self, tmp_path):
+    def test_a_failure_in_the_parent_propagates_and_reaps_the_child(self, tmp_path, forked):
         parent = os.getpid()
 
         def fail_in_parent(*args):
             if os.getpid() == parent:
                 raise RuntimeError("formatting failed")
-            return _csv_rows(*args)
+            return _write_split_csv(*args)
 
-        with mock.patch("poolal.datafiles._csv_rows", side_effect=fail_in_parent):
+        with mock.patch("poolal.datafiles._write_split_csv", side_effect=fail_in_parent):
             with pytest.raises(RuntimeError, match="formatting failed"):
                 write_dataset(small_bundle(), tmp_path)
-        assert_no_child_left()
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_a_failure_in_the_child_is_raised_here_with_its_message(self, tmp_path, forked):
+        parent = os.getpid()
+
+        def fail_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("train rows failed")
+            return _write_split_csv(*args)
+
+        with mock.patch("poolal.datafiles._write_split_csv", side_effect=fail_in_child):
+            with pytest.raises(OSError, match="^train rows failed$"):
+                write_dataset(small_bundle(), tmp_path)
+        assert len(forked) == 1
+        assert_reaped(forked)
 
     def test_buffered_output_is_written_once(self, tmp_path, monkeypatch):
         """The child leaves through ``os._exit``, which flushes no buffer it inherited."""
