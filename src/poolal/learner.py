@@ -9,28 +9,47 @@ divergence the validation loss misses. :func:`gradient_check` verifies the
 step's analytic gradients against central finite differences.
 
 :func:`train_stack` trains several jobs (one per seed of a sweep) as one
-stack: the parameters carry a leading stack axis, and each numpy call of an
-SGD step serves every job whose full batches line up. :func:`train` is its
-one-job case, so there is one implementation of the loop.
+stack: each numpy call of an SGD step serves every job whose full batches
+line up. :func:`train` is its one-job case, so there is one implementation
+of the loop.
 
 All math is float64; training is single-threaded and bit-reproducible for
 a fixed :class:`~poolal.core.RandomSource`, stacked or alone.
 
+An SGD step runs in a kernel (:func:`_step_kernel`). A stack keeps its
+parameters in one flat float64 buffer ``P`` of shape ``(S, p)`` and its
+gradients in ``G``; each parameter is a view of ``P`` in ``PARAM_AXES``
+order. A kernel is built for one ``(S, B)`` shape and allocates its logits,
+their class-major copy, the max, the class sum and the MLP's hidden buffers
+once; every numpy call of a step writes into them, or into views of ``G``
+and ``P``, with ``out=``, so a step allocates no buffer. It makes the
+floating-point operations of the plain formulas (``_forward``, the softmax,
+``g = (p - Y) / B``, the gradient products and sums, ``P -= lr * G``) in
+the same order, so the bits are theirs: the bias add ``z + b`` is made
+while making the class-major copy, the softmax divide writes straight back
+into the row-major logits, and ``G *= lr`` then ``P -= G`` is the same
+product and difference. The class-major buffer is allocated C-order
+``(S, I, B)``: ``np.add(z.swapaxes(-1, -2), b)`` without ``out=`` would keep
+the row-major layout of ``z``, and every class pass would then stride
+across rows. :func:`gradient_check` takes its analytic gradient from a
+kernel call without a learning rate, so there is one gradient
+implementation.
+
 The softmax and the log-sum-exp reduce over the class axis of a class-major
-copy of the logits (:func:`_class_major_exp`), one elementwise pass per
-class. Below 8 classes the bits are those of the row-major formula, since
-numpy sums fewer than 8 elements of a row in index order. From 8 classes
-on, a block of two or more rows sums its classes in index order, where
-numpy would sum a row pairwise, so the last bits of a model of 8 or more
-classes may differ from the row-major formula's; a lone row is one
-contiguous run and is still summed pairwise.
+copy of the logits (:func:`_class_major_exp`, and the same passes in the
+step kernel), one elementwise pass per class. Below 8 classes the bits are
+those of the row-major formula, since numpy sums fewer than 8 elements of a
+row in index order. From 8 classes on, a block of two or more rows sums its
+classes in index order, where numpy would sum a row pairwise, so the last
+bits of a model of 8 or more classes may differ from the row-major
+formula's; a lone row is one contiguous run and is still summed pairwise.
 :func:`poolal.strategy.row_entropies` still sums each row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -109,7 +128,7 @@ class TrainedModel:
 
 def samples_to_arrays(rows: np.ndarray, split: Split) -> tuple[np.ndarray, np.ndarray]:
     """Gather the given rows of a split into (features matrix, label vector)."""
-    return split.X[rows], split.y[rows]
+    return np.take(split.X, rows, axis=0), np.take(split.y, rows, axis=0)
 
 
 def _init_params(config: LearnerConfig, feature_dim: int, num_classes: int, gen: np.random.Generator) -> dict[str, np.ndarray]:
@@ -171,30 +190,81 @@ def _mean_cross_entropy(kind: str, params: dict[str, np.ndarray], X: np.ndarray,
     return float(np.mean(lse - z[np.arange(len(y)), y]))
 
 
-def _gradients(kind: str, params: dict[str, np.ndarray], X: np.ndarray, Y: np.ndarray) -> dict[str, np.ndarray]:
-    """Mean cross-entropy gradient over (X, Y), formed in place in the logits; no loss.
+def _param_views(kind: str, A: np.ndarray, dims: dict[str, int]) -> dict[str, np.ndarray]:
+    """Each parameter as a view of the flat buffer ``A`` ``(..., p)``, laid out in ``PARAM_AXES`` order."""
+    views, start = {}, 0
+    for name, axes in PARAM_AXES[kind].items():
+        shape = tuple(dims[a] for a in axes)
+        stop = start + int(np.prod(shape))
+        views[name] = A[..., start:stop].reshape(A.shape[:-1] + shape)
+        start = stop
+    return views
 
-    ``Y`` holds one-hot targets shaped like the logits, or class labels.
-    Leading axes stack independent problems, as in :func:`_forward`.
+
+def _pack(kind: str, params: Sequence[dict[str, np.ndarray]]) -> np.ndarray:
+    """The flat ``(S, p)`` buffer of a stack of models, one row per model."""
+    return np.stack([np.concatenate([m[k].ravel() for k in PARAM_AXES[kind]]) for m in params])
+
+
+def _step_kernel(kind: str, P: np.ndarray, G: np.ndarray, dims: dict[str, int], B: int) -> Callable[..., None]:
+    """SGD on the stack of models ``P`` ``(S, p)`` with batches of ``B`` rows; buffers are allocated here, once.
+
+    Returns ``step(X, Y, lr=None)`` for rows ``(S, B, d)`` and one-hot
+    targets ``(S, B, I)``. It writes the mean cross-entropy gradient into
+    ``G``, laid out as ``P``; given a learning rate, it then scales ``G`` by
+    it and subtracts it from ``P``. No loss is formed. The floating-point
+    operations and their order are those of the plain formulas (see the
+    module docstring).
     """
-    h, g = _forward(kind, params, X)
-    if Y.ndim < g.ndim:
-        Y = np.eye(g.shape[-1])[Y]
-    _softmax(g)
-    g -= Y
-    g /= X.shape[-2]
-    Xt = X.swapaxes(-1, -2)
-    if h is None:
-        return {"W": Xt @ g, "b": g.sum(axis=-2)}
-    gh = g @ params["W2"].swapaxes(-1, -2)
-    gh *= 1.0 - h * h
-    return {"W1": Xt @ gh, "b1": gh.sum(axis=-2), "W2": h.swapaxes(-1, -2) @ g, "b2": g.sum(axis=-2)}
+    S, I = P.shape[0], dims["I"]
+    p, g = _param_views(kind, P, dims), _param_views(kind, G, dims)
+    mlp = kind == "mlp"
+    W, b, gW, gb = (p["W2"], p["b2"], g["W2"], g["b2"]) if mlp else (p["W"], p["b"], g["W"], g["b"])
+    b = b[..., None]
+    z = np.empty((S, B, I))
+    zt = z.swapaxes(-1, -2)
+    e = np.empty((S, I, B))  # C order: a transposed copy made without out= keeps z's row-major layout
+    zmax, total = np.empty((S, B)), np.empty((S, B))
+    zmax_b, total_b = zmax[..., None, :], total[..., None, :]
+    if mlp:
+        W1, b1, gW1, gb1, Wt = p["W1"], p["b1"][..., None, :], g["W1"], g["b1"], W.swapaxes(-1, -2)
+        h, t, gh = (np.empty((S, B, dims["H"])) for _ in range(3))
+        ht = h.swapaxes(-1, -2)
+    matmul, add = np.matmul, np.add
 
+    def step(X: np.ndarray, Y: np.ndarray, lr: float | None = None) -> None:
+        if mlp:
+            matmul(X, W1, out=h)
+            add(h, b1, out=h)
+            np.tanh(h, out=h)
+            matmul(h, W, out=z)
+        else:
+            matmul(X, W, out=z)
+        add(zt, b, out=e)
+        np.maximum.reduce(e, axis=-2, out=zmax)
+        np.subtract(e, zmax_b, out=e)
+        np.exp(e, out=e)
+        add.reduce(e, axis=-2, out=total)
+        np.divide(e, total_b, out=zt)
+        np.subtract(z, Y, out=z)
+        np.divide(z, B, out=z)
+        Xt = X.swapaxes(-1, -2)
+        if mlp:
+            matmul(z, Wt, out=gh)
+            np.multiply(h, h, out=t)
+            np.subtract(1.0, t, out=t)
+            np.multiply(gh, t, out=gh)
+            matmul(Xt, gh, out=gW1)
+            add.reduce(gh, axis=-2, out=gb1)
+            matmul(ht, z, out=gW)
+        else:
+            matmul(Xt, z, out=gW)
+        add.reduce(z, axis=-2, out=gb)
+        if lr is not None:
+            np.multiply(G, lr, out=G)
+            np.subtract(P, G, out=P)
 
-def _sgd_step(kind: str, params: dict[str, np.ndarray], X: np.ndarray, Y: np.ndarray, lr: float) -> None:
-    grads = _gradients(kind, params, X, Y)
-    for k in params:
-        params[k] -= lr * grads[k]
+    return step
 
 
 def _check_initial(initial: TrainedModel, config: LearnerConfig, feature_dim: int, num_classes: int) -> None:
@@ -265,9 +335,11 @@ def train_stack(
     straight from its split into ``(S, n_max, d)`` and ``(S, n_max, I)``
     buffers, so a job's rows are held once. The full batches that
     every job has step as one ``(S, B, ·)`` batch; each job's remaining full
-    batches and its ragged tail then step alone, on its slice of the stacked
-    parameters. A job that stops early or fails leaves the stack; a failed
-    job's slot holds its error in place of a model.
+    batches and its ragged tail then step alone, on a kernel of that batch's
+    shape over the job's row of the stacked parameters. A job that stops
+    early or fails leaves the stack, which re-packs the parameters and
+    rebuilds the shared kernel; a failed job's slot holds its error in place
+    of a model.
     """
     out: list = [None] * len(jobs)
     fits: list[_Fit] = []
@@ -286,7 +358,11 @@ def train_stack(
     Xs = np.empty((len(fits), n_max, feature_dim))
     Ys = np.empty((len(fits), n_max, num_classes))
     eye = np.eye(num_classes)
-    P = {k: np.stack([f.params[k] for f in fits]) for k in PARAM_AXES[kind]}
+    dims = {"d": feature_dim, "I": num_classes, "H": config.hidden_units}
+    P = _pack(kind, [f.params for f in fits])
+    G = np.empty_like(P)
+    shared_step = _step_kernel(kind, P, G, dims, B)
+    alone_steps = {}  # (stack slot, batch rows) -> kernel on that slot's row of P
     done: list[_Fit] = []
 
     for epoch in range(1, config.max_epochs + 1):
@@ -298,15 +374,19 @@ def train_stack(
         S = len(fits)
         shared = min(len(f.rows) for f in fits) // B * B
         for a in range(0, shared, B):
-            _sgd_step(kind, P, Xs[:S, a : a + B], Ys[:S, a : a + B], lr)
+            shared_step(Xs[:S, a : a + B], Ys[:S, a : a + B], lr)
 
         keep = []
         for s, f in enumerate(fits):
             n = len(f.rows)
-            params = {k: v[s] for k, v in P.items()}
             for a in range(shared, n, B):
-                _sgd_step(kind, params, Xs[s, a : min(a + B, n)], Ys[s, a : min(a + B, n)], lr)
+                m = min(B, n - a)
+                step = alone_steps.get((s, m))
+                if step is None:
+                    step = alone_steps[s, m] = _step_kernel(kind, P[s : s + 1], G[s : s + 1], dims, m)
+                step(Xs[s : s + 1, a : a + m], Ys[s : s + 1, a : a + m], lr)
 
+            params = _param_views(kind, P[s], dims)
             val_loss = _mean_cross_entropy(kind, params, Xv, yv)
             if not np.isfinite(val_loss):
                 out[f.job] = TrainingError(f"non-finite loss at epoch {epoch} (training diverged)")
@@ -323,9 +403,11 @@ def train_stack(
             keep.append(s)
         if len(keep) < S:
             fits = [fits[s] for s in keep]
-            P = {k: v[keep] for k, v in P.items()}
             if not fits:
                 break
+            P, G = P[keep], G[: len(keep)]
+            shared_step = _step_kernel(kind, P, G, dims, B)
+            alone_steps.clear()
 
     for f in done + fits:
         blocks = (f.rows[a : a + _LOSS_BLOCK] for a in range(0, len(f.rows), _LOSS_BLOCK))
@@ -416,7 +498,11 @@ def gradient_check(
     for k in params:
         params[k] = gen.uniform(-0.5, 0.5, size=params[k].shape)
 
-    grads = _gradients(config.kind, params, X, y)
+    dims = {"d": X.shape[1], "I": num_classes, "H": config.hidden_units}
+    P = _pack(config.kind, [params])
+    G = np.empty_like(P)
+    _step_kernel(config.kind, P, G, dims, len(y))(X[None], np.eye(num_classes)[y][None])
+    grads = _param_views(config.kind, G[0], dims)
 
     max_rel = 0.0
     for name in sorted(params):

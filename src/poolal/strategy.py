@@ -183,11 +183,15 @@ def select_entropy_topk(
 
     Candidates are drawn without replacement from the pools in per-class
     counts proportional to ``full_train_delta``; the ``select_count`` rows with
-    the highest predictive entropy are returned (entropy ties broken by sample
-    id), and every unselected candidate goes back to its pool in
-    rng-shuffled order so the pool tail stays unordered. The draw is empty
-    only when every pool is (:func:`candidate_targets` moves a short class's
-    share onto classes with stock); that empty int64 array returns unscored.
+    the highest predictive entropy are returned in draw order, and every
+    unselected candidate goes back to its pool in rng-shuffled order so the
+    pool tail stays unordered. Rows tied at the cut are kept by ascending
+    sample id, and a NaN entropy ranks below every number: the kept set is
+    the first ``select_count`` of the candidates sorted by (-entropy, id). It
+    is found in linear time: ``np.partition`` finds the cut, and only the
+    rows tied at it are sorted, by id. The draw is empty only when every
+    pool is (:func:`candidate_targets` moves a short class's share onto
+    classes with stock); that empty int64 array returns unscored.
     """
     if select_count > candidate_count:
         raise ConfigurationError(f"select_count ({select_count}) must be <= candidate_count ({candidate_count})")
@@ -199,8 +203,15 @@ def select_entropy_topk(
 
     X, _ = samples_to_arrays(candidates, pools.split)
     entropies = row_entropies(predict_proba(model, X))
+    key = np.where(np.isnan(entropies), np.inf, -entropies)
+    k = min(select_count, len(candidates))
     chosen = np.zeros(len(candidates), dtype=bool)
-    chosen[np.lexsort((pools.split.ids[candidates], -entropies))[:select_count]] = True
+    if k:
+        cut = np.partition(key, k - 1)[k - 1]
+        np.less(key, cut, out=chosen)
+        tied = np.flatnonzero(key == cut)
+        by_id = np.argsort(pools.split.ids[candidates[tied]], kind="stable")
+        chosen[tied[by_id[: k - np.count_nonzero(chosen)]]] = True
     rejected = candidates[~chosen]
     gen = rng.generator()
     pools.give_back(rejected[gen.permutation(len(rejected))])

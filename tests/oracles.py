@@ -135,6 +135,13 @@ def reference_sgd(kind, X, y, Xv, yv, gen, *, learning_rate, batch_size, max_epo
     return best_params, log, best_epoch, len(log)
 
 
+def reference_entropy_topk(entropies, ids, k):
+    """Which rows entropy top-k keeps: the first ``k`` of Python's ``sorted`` by (-entropy, id), as a mask."""
+    order = sorted(range(len(ids)), key=lambda i: (-entropies[i], ids[i]))
+    kept = set(order[:k])
+    return [i in kept for i in range(len(ids))]
+
+
 def reference_write_split_csv(path, ids, labels, X, class_names):
     """One dataset split CSV as first written: :mod:`csv` quoting, ``repr`` floats, one row at a time."""
     with open(path, "w", newline="", encoding="utf-8") as f:

@@ -340,6 +340,15 @@ class TestClassMajorSoftmax:
             assert mean_cross_entropy_of(block, y) == row_major_mean_cross_entropy(block, y, class_sum)
 
 
+def linear_kernel_gradients(params, X, y):
+    """The step kernel's gradient-only call on one linear model, as a dict of gradient arrays."""
+    dims = {"d": X.shape[1], "I": len(params["b"])}
+    P = learner._pack("softmax_linear", [params])
+    G = np.empty_like(P)
+    learner._step_kernel("softmax_linear", P, G, dims, len(y))(X[None], np.eye(dims["I"])[y][None])
+    return learner._param_views("softmax_linear", G[0], dims)
+
+
 class TestGradients:
     def test_linear_gradient_check_tight(self):
         batch = make_split([0, 1, 2, 0, 1, 2, 0, 1], feature_dim=4)
@@ -359,7 +368,7 @@ class TestGradients:
         y = np.array([0])
         params = {"W": np.array([[40.0, 0.0], [0.0, 0.0]]), "b": np.zeros(2)}
         oracle_grads = loss_and_gradient("softmax_linear", params, X, y)[1]
-        for grads in (oracle_grads, learner._gradients("softmax_linear", params, X, y)):
+        for grads in (oracle_grads, linear_kernel_gradients(params, X, y)):
             norm = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
             assert norm < 1e-9
 
@@ -457,6 +466,45 @@ class TestTrainStack:
             assert_same_model(a, b)
         assert len({m.stopped_epoch for m in alone}) > 1  # the jobs left the stack at different epochs
         assert all(m.stopped_epoch < cfg.max_epochs for m in alone)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "softmax_linear", "learning_rate": 2.0, "batch_size": 16, "max_epochs": 40, "patience": 2},
+            {"kind": "mlp", "hidden_units": 6, "learning_rate": 3.0, "batch_size": 16, "max_epochs": 40, "patience": 2, "init_scale": 0.5},
+        ],
+    )
+    def test_tails_of_one_and_b_minus_1_rows(self, kwargs):
+        cfg = LearnerConfig(**kwargs)
+        val = noisy_blobs(60, seed=2)
+        # 33 and 47 rows share 2 full batches, then step tails of 1 and 15 rows alone; 65 rows step
+        # 2 more full batches and a 1-row tail alone, on kernels rebuilt as jobs leave the stack.
+        sets = [every_row(noisy_blobs(n, seed=s), 3) for n, s in ((33, 1), (47, 3), (65, 5))]
+        jobs = [(ts, RandomSource(10 + i), None) for i, ts in enumerate(sets)]
+
+        stacked = train_stack(cfg, jobs, val)
+        alone = [train(cfg, ts, val, rng) for ts, rng, _ in jobs]
+        for a, b in zip(alone, stacked):
+            assert_same_model(a, b)
+        assert len({m.stopped_epoch for m in alone}) == 3  # each job left the stack at its own epoch
+
+    @pytest.mark.parametrize("kind", ["softmax_linear", "mlp"])
+    @pytest.mark.parametrize("rows", [1, 15])
+    def test_a_step_on_one_slot_leaves_the_others_unchanged(self, kind, rows):
+        dims = {"d": 4, "I": 3, "H": 6}
+        gen = np.random.default_rng(0)
+        models = [learner._init_params(LearnerConfig(kind=kind, hidden_units=6, init_scale=0.5), 4, 3, gen) for _ in range(3)]
+        P = learner._pack(kind, models)
+        G = np.empty_like(P)
+        X = gen.standard_normal((1, rows, 4))
+        Y = np.eye(3)[gen.integers(0, 3, (1, rows))]
+        before = P.copy()
+        learner._step_kernel(kind, P[1:2], G[1:2], dims, rows)(X, Y, 0.5)
+
+        alone = learner._pack(kind, models[1:2])
+        learner._step_kernel(kind, alone, np.empty_like(alone), dims, rows)(X, Y, 0.5)
+        assert P[0].tobytes() == before[0].tobytes() and P[2].tobytes() == before[2].tobytes()
+        assert P[1].tobytes() == alone[0].tobytes() != before[1].tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_jobs_hold_their_error_and_the_others_train_on(self):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_split, pools_of
-from oracles import brute_force_allocation
+from oracles import brute_force_allocation, reference_entropy_topk
 from poolal.core import ClassPools, RandomSource, Split
 from poolal.errors import ConfigurationError
 from poolal.learner import TrainedModel
@@ -252,6 +254,52 @@ class TestSelectEntropyTopK:
             hr = [H(predict_proba(model, split.X[r])) for r in rest]
             if hs and hr:
                 assert min(hs) >= max(hr) - 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=30, unique=True).flatmap(
+            lambda ids: st.tuples(
+                st.just(ids),
+                st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, math.log(3)]), min_size=len(ids), max_size=len(ids)),
+                st.lists(st.integers(0, 1), min_size=len(ids), max_size=len(ids)),
+                st.integers(0, 3),
+                st.integers(0, 2**16),
+            )
+        ),
+        st.data(),
+    )
+    def test_keeps_the_rows_of_the_sorted_oracle(self, case, data):
+        # Few distinct entropies, so ties at the cut are the rule; each row's feature is its entropy.
+        ids, entropies, labels, extra, seed = case
+        candidate_count = len(ids) + extra
+        select_count = data.draw(st.integers(0, candidate_count))
+        split = Split(np.array(entropies)[:, None], labels, ids)
+        pools = pools_of(split, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("poolal.strategy.predict_proba", lambda model, X: X)
+            mp.setattr("poolal.strategy.row_entropies", lambda p: p[:, 0].copy())
+            kept = select_entropy_topk(
+                None, pools, np.bincount(labels, minlength=2), candidate_count, select_count, RandomSource(seed)
+            )
+
+        candidates = pools_of(split, 2).rows()  # every row is drawn, class by class
+        mask = np.array(
+            reference_entropy_topk([entropies[r] for r in candidates], [ids[r] for r in candidates], select_count),
+            dtype=bool,
+        )
+        assert kept.tolist() == candidates[mask].tolist()
+        rejected = candidates[~mask]
+        expected = ClassPools(split, [[], []])
+        expected.give_back(rejected[RandomSource(seed).generator().permutation(len(rejected))])
+        assert pools.rows().tolist() == expected.rows().tolist()
+
+    def test_nan_entropy_ranks_below_every_number(self, monkeypatch):
+        entropies = np.array([np.nan, 0.5, np.nan, 0.25])
+        split = Split(entropies[:, None], [0, 0, 0, 0], ["d", "c", "b", "a"])
+        monkeypatch.setattr("poolal.strategy.predict_proba", lambda model, X: X)
+        monkeypatch.setattr("poolal.strategy.row_entropies", lambda p: p[:, 0].copy())
+        kept = select_entropy_topk(None, pools_of(split, 1), [1.0], 4, 3, RandomSource(0))
+        assert sorted(np.lexsort((split.ids, -entropies))[:3].tolist()) == kept.tolist() == [1, 2, 3]
 
     def test_exhausted_pools_signal(self, monkeypatch):
         # empty pools give an empty draw, returned before any row is scored
