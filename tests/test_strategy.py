@@ -256,23 +256,16 @@ class TestSelectEntropyTopK:
                 assert min(hs) >= max(hr) - 1e-12
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=30, unique=True).flatmap(
-            lambda ids: st.tuples(
-                st.just(ids),
-                st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, math.log(3)]), min_size=len(ids), max_size=len(ids)),
-                st.lists(st.integers(0, 1), min_size=len(ids), max_size=len(ids)),
-                st.integers(0, 3),
-                st.integers(0, 2**16),
-            )
-        ),
-        st.data(),
-    )
-    def test_keeps_the_rows_of_the_sorted_oracle(self, case, data):
+    @given(st.data())
+    def test_keeps_the_rows_of_the_sorted_oracle(self, data):
         # Few distinct entropies, so ties at the cut are the rule; each row's feature is its entropy.
-        ids, entropies, labels, extra, seed = case
-        candidate_count = len(ids) + extra
+        ids = data.draw(st.lists(st.text("abc", min_size=1, max_size=3), min_size=1, max_size=30, unique=True))
+        n = len(ids)
+        entropies = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, math.log(3)]), min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        candidate_count = n + data.draw(st.integers(0, 3))
         select_count = data.draw(st.integers(0, candidate_count))
+        seed = data.draw(st.integers(0, 2**16))
         split = Split(np.array(entropies)[:, None], labels, ids)
         pools = pools_of(split, 2)
         with pytest.MonkeyPatch.context() as mp:
