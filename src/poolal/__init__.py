@@ -37,7 +37,6 @@ from .learner import (
     LearnerConfig,
     TrainedModel,
     gradient_check,
-    predict,
     predict_batch,
     predict_proba,
     train,

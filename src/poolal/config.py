@@ -10,6 +10,13 @@ specs, dataset manifests, run records and checkpoints are rebuilt from field
 annotations by :func:`_decode`, which refuses a missing or unknown key, or a
 value of the wrong type, by name. A ``__post_init__`` keeps only value and
 cross-field rules.
+
+Each rule on a value has one home, and code downstream of that home trusts
+the value: config values in the ``__post_init__`` of ``ExperimentConfig``,
+``EntropyTopK`` and ``LearnerConfig``; dataset contents in
+``DatasetBundle.build``; seeds, from the config or a CLI override, in
+``run_sweep``; loop invariants in ``engine._check_append``; weight sums in
+``largest_remainder``; a set of run records in ``group_and_aggregate``.
 """
 
 from __future__ import annotations
@@ -163,7 +170,7 @@ class ExperimentConfig:
         for key in _COUNT_KEYS:
             if (getattr(self, key) or 0) > 2**53:
                 raise ConfigurationError(f"{key} must be <= 2**53, got {getattr(self, key)}")
-        if self.strategy is None and (self.candidate_count, self.select_count) != (None, None):
+        if self.strategy != "entropy_topk" and (self.candidate_count, self.select_count) != (None, None):
             raise ConfigurationError("candidate_count/select_count require strategy 'entropy_topk'")
         if self.strategy is not None:
             self.acquisition()  # the strategy's own checks
@@ -207,8 +214,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"max_iterations must be >= 1 or omitted/null to disable, got {self.max_iterations}"
             )
-        if not self.seeds:
-            raise ConfigurationError("seeds must contain at least one seed")
         if not self.dataset:
             raise ConfigurationError("dataset source is required")
 

@@ -232,12 +232,8 @@ class TrainingSet:
 
     @classmethod
     def from_rows(cls, split: Split, rows: Sequence[int], num_classes: int, iteration: int = 0) -> "TrainingSet":
-        """Training set of the given rows; raises ConfigurationError if a row appears twice."""
+        """Training set of the given rows, none repeated: ``engine._check_append`` vouches for each append."""
         rows = _read_only(np.asarray(rows, dtype=np.int64))
-        member = np.bincount(rows, minlength=len(split))
-        if rows.size and member.max() > 1:
-            row = int(rows[np.argmax(member[rows] > 1)])
-            raise ConfigurationError(f"sample {split.id_of(row)!r} already in training set")
         counts = np.bincount(split.y[rows], minlength=num_classes).tolist()
         return cls(split=split, rows=rows, counts=counts, iteration=iteration)
 
@@ -246,7 +242,7 @@ class TrainingSet:
         return len(self.rows)
 
     def extended(self, new_rows: Sequence[int]) -> "TrainingSet":
-        """New TrainingSet with ``new_rows`` appended and the iteration bumped."""
+        """``new_rows`` appended, the iteration bumped; ``engine._check_append`` refuses a repeated row first."""
         rows = np.concatenate([self.rows, np.asarray(new_rows, dtype=np.int64)])
         return TrainingSet.from_rows(self.split, rows, len(self.counts), self.iteration + 1)
 
@@ -267,8 +263,6 @@ def split_initial(
     """
     if not len(train):
         raise ConfigurationError("cannot split an empty train collection")
-    if per_class_initial < 0:
-        raise ConfigurationError(f"per_class_initial must be >= 0, got {per_class_initial}")
 
     gen = rng.generator()
     initial: list[np.ndarray] = []
@@ -289,7 +283,5 @@ def split_initial(
 
 
 def class_balance(ts: TrainingSet) -> np.ndarray:
-    """Relative class balance of the training set: fraction per class, sums to 1."""
-    if ts.size == 0:
-        raise ConfigurationError("class balance is undefined for an empty training set")
+    """Relative class balance of a non-empty training set: fraction per class, sums to 1."""
     return np.asarray(ts.counts, dtype=float) / ts.size

@@ -282,7 +282,7 @@ def run_sweep(
     be at least 1.
     """
     if not seeds:
-        raise ConfigurationError("run_sweep needs at least one seed")
+        raise ConfigurationError("seeds must contain at least one seed")
     if min(seeds) < 0:
         raise ConfigurationError(f"seeds must be >= 0, got {min(seeds)}")
     if len(set(seeds)) < len(seeds):

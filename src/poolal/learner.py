@@ -63,7 +63,6 @@ __all__ = [
     "train",
     "train_stack",
     "predict_proba",
-    "predict",
     "predict_batch",
     "gradient_check",
     "samples_to_arrays",
@@ -151,8 +150,6 @@ def _forward(kind: str, params: dict[str, np.ndarray], X: np.ndarray) -> tuple[n
         z = X @ params["W"]
         z += params["b"][..., None, :]
         return None, z
-    if kind != "mlp":
-        raise ConfigurationError(f"unknown learner kind {kind!r}")
     h = X @ params["W1"]
     h += params["b1"][..., None, :]
     np.tanh(h, out=h)
@@ -302,16 +299,12 @@ class _Fit:
     bad_epochs: int = 0
 
 
-def _start_fit(config: LearnerConfig, job: int, train_job: TrainJob, validation: Split) -> _Fit:
+def _start_fit(config: LearnerConfig, job: int, train_job: TrainJob) -> _Fit:
     train_set, rng, initial = train_job
     if train_set.size == 0:
         raise TrainingError("training set is empty")
-    if not len(validation):
-        raise TrainingError("validation set is empty")
     feature_dim = train_set.split.X.shape[1]
     num_classes = len(train_set.counts)
-    if validation.X.shape[1] != feature_dim:
-        raise TrainingError(f"validation feature dim {validation.X.shape[1]} != train feature dim {feature_dim}")
     gen = rng.generator()
     if initial is not None:
         _check_initial(initial, config, feature_dim, num_classes)
@@ -329,7 +322,8 @@ def train_stack(
     Each job's model is bit-identical to what :func:`train` gives it alone:
     the job draws its own permutation each epoch from its random source and
     keeps its own validation loss, patience and best parameters. The jobs
-    must share the feature and class dimensions.
+    must share the feature and class dimensions, and ``validation`` is a
+    non-empty split of that feature dimension (``DatasetBundle.build``).
 
     Each epoch, every job's shuffled rows and one-hot labels are gathered
     straight from its split into ``(S, n_max, d)`` and ``(S, n_max, I)``
@@ -345,7 +339,7 @@ def train_stack(
     fits: list[_Fit] = []
     for j, job in enumerate(jobs):
         try:
-            fits.append(_start_fit(config, j, job, validation))
+            fits.append(_start_fit(config, j, job))
         except (TrainingError, ConfigurationError) as e:
             out[j] = e
     if not fits:
@@ -468,11 +462,6 @@ def predict_batch(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Predicted class indices for a feature matrix; ties go to the lowest index."""
     X = _check_features(model, np.atleast_2d(np.asarray(X, dtype=float)))
     return np.argmax(_softmax(_forward(model.kind, model.params, X)[1]), axis=1)
-
-
-def predict(model: TrainedModel, features: np.ndarray) -> int:
-    """Most probable class for one feature vector; ties go to the lowest index."""
-    return int(np.argmax(predict_proba(model, features)))
 
 
 def gradient_check(

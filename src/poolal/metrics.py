@@ -68,7 +68,7 @@ def _ratio(num: int, den: int) -> float:
 
 
 def report(counts: np.ndarray) -> MetricsReport:
-    """Per-class and aggregate metrics from a confusion matrix.
+    """Per-class and aggregate metrics from a :func:`confusion` matrix, which counts at least one sample.
 
     Per-class F1 is computed as 2*TP / (2*TP + FP + FN), which equals the
     harmonic mean of precision and recall and keeps micro F1 exactly equal
@@ -76,9 +76,6 @@ def report(counts: np.ndarray) -> MetricsReport:
     """
     num_classes = counts.shape[0]
     total = int(counts.sum())
-    if total <= 0:
-        raise EvaluationError("cannot report on an empty confusion matrix")
-
     tp = np.diag(counts)
     fn = counts.sum(axis=1) - tp
     fp = counts.sum(axis=0) - tp

@@ -61,21 +61,8 @@ class AggregateReport:
 
 
 def aggregate_records(records: Sequence[RunRecord]) -> AggregateReport:
-    """Mean and sample standard deviation of the final test metrics across seeds; a repeated seed is refused."""
-    if not records:
-        raise ConfigurationError("no run records to aggregate")
+    """Mean and sample std of the final test metrics of one :func:`group_and_aggregate` group; refuses a seed twice."""
     first = records[0]
-    for r in records[1:]:
-        if r.config_hash != first.config_hash:
-            raise ConfigurationError(
-                f"cannot aggregate mixed configs ({r.config_hash} vs {first.config_hash})"
-            )
-        if r.dataset_hash != first.dataset_hash:
-            raise ConfigurationError(
-                f"run records come from mismatched datasets ({r.dataset_hash} vs {first.dataset_hash})"
-            )
-        if r.class_names != first.class_names:
-            raise ConfigurationError("run records disagree on class names")
     seeds = [r.seed for r in records]
     for seed in seeds:
         if seeds.count(seed) > 1:
@@ -100,7 +87,7 @@ def aggregate_records(records: Sequence[RunRecord]) -> AggregateReport:
 
 
 def group_and_aggregate(records: Sequence[RunRecord]) -> list[AggregateReport]:
-    """One AggregateReport per distinct config hash; refuses mixed datasets."""
+    """One AggregateReport per distinct config hash; refuses no records, mixed datasets and mixed class names."""
     if not records:
         raise ConfigurationError("no run records given")
     dataset_hashes = {r.dataset_hash for r in records}
@@ -108,6 +95,8 @@ def group_and_aggregate(records: Sequence[RunRecord]) -> list[AggregateReport]:
         raise ConfigurationError(
             f"run records come from mismatched datasets: {sorted(dataset_hashes)}"
         )
+    if any(r.class_names != records[0].class_names for r in records):
+        raise ConfigurationError("run records disagree on class names")
     groups: dict[str, list[RunRecord]] = {}
     for r in records:
         groups.setdefault(r.config_hash, []).append(r)
@@ -117,14 +106,7 @@ def group_and_aggregate(records: Sequence[RunRecord]) -> list[AggregateReport]:
 
 
 def render_table(reports: Sequence[AggregateReport]) -> str:
-    """Human-readable table, one column per config, F1 rows as percentages."""
-    if not reports:
-        raise ConfigurationError("nothing to render")
-    names = reports[0].class_names
-    for rep in reports[1:]:
-        if rep.class_names != names:
-            raise ConfigurationError("reports disagree on class names")
-
+    """Human-readable table, one column per :func:`group_and_aggregate` report, F1 rows as percentages."""
     row_labels = [label for label, _ in reports[0].rows()]
     columns = []
     for rep in reports:

@@ -83,28 +83,15 @@ def largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def _class_rates(name: str, values: Sequence[float], budget: int, pools: ClassPools) -> np.ndarray:
-    """``values`` as a float array after the checks both allocators share."""
-    values = np.asarray(values, dtype=float)
-    if budget < 0:
-        raise ConfigurationError(f"budget must be >= 0, got {budget}")
-    if len(values) != pools.num_classes:
-        raise ConfigurationError(f"{name} length {len(values)} != number of classes {pools.num_classes}")
-    if not np.all(np.isfinite(values)):
-        raise ConfigurationError(f"{name} entries must be finite")
-    if np.any(values < 0) or np.any(values > 1):
-        raise ConfigurationError(f"{name} entries must lie in [0, 1]")
-    return values
-
-
 def allocate_fnr(fnr: Sequence[float], budget: int, pools: ClassPools) -> np.ndarray:
     """Split the acquisition budget across classes proportionally to their FNR.
 
     When every FNR is zero (perfect validation performance) the budget falls
     back to a uniform split over classes that still have pool stock. Counts
     are not clipped to pool sizes here; shortfall is the caller's concern.
+    The rates come from :func:`poolal.metrics.report`: one per class, each in [0, 1].
     """
-    fnr = _class_rates("fnr", fnr, budget, pools)
+    fnr = np.asarray(fnr, dtype=float)
     if fnr.sum() > 0:
         return largest_remainder(fnr, budget)
     nonempty = np.array([1.0 if r > 0 else 0.0 for r in pools.remaining_counts()])
@@ -113,11 +100,8 @@ def allocate_fnr(fnr: Sequence[float], budget: int, pools: ClassPools) -> np.nda
     return largest_remainder(nonempty, budget)
 
 
-def allocate_proportional(delta: Sequence[float], budget: int, pools: ClassPools) -> np.ndarray:
+def allocate_proportional(delta: Sequence[float], budget: int) -> np.ndarray:
     """Split the budget proportionally to a class-balance vector (control arm)."""
-    delta = _class_rates("delta", delta, budget, pools)
-    if delta.sum() <= 0:
-        raise ConfigurationError("delta must have a positive sum")
     return largest_remainder(delta, budget)
 
 
@@ -154,8 +138,6 @@ def candidate_targets(delta: Sequence[float], candidate_count: int, pools: Class
     the full candidate count is drawn whenever total stock allows.
     """
     delta = np.asarray(delta, dtype=float)
-    if delta.sum() <= 0:
-        raise ConfigurationError("delta must have a positive sum")
     remaining = np.asarray(pools.remaining_counts(), dtype=np.int64)
     take = np.minimum(largest_remainder(delta, candidate_count), remaining)
     while True:
@@ -193,9 +175,6 @@ def select_entropy_topk(
     pool is (:func:`candidate_targets` moves a short class's share onto
     classes with stock); that empty int64 array returns unscored.
     """
-    if select_count > candidate_count:
-        raise ConfigurationError(f"select_count ({select_count}) must be <= candidate_count ({candidate_count})")
-
     targets = candidate_targets(full_train_delta, candidate_count, pools)
     candidates = np.concatenate([pools.draw(i, int(t)) for i, t in enumerate(targets)])
     if not len(candidates):
@@ -224,14 +203,12 @@ def subset_size(n: int, fraction: float) -> int:
 
 
 def sample_fraction(train: Split, fraction: float, rng: RandomSource) -> np.ndarray:
-    """Stratified subsample preserving the natural class distribution.
+    """Stratified subsample preserving the natural class distribution; ``fraction`` is in (0, 1].
 
     Returns :func:`subset_size` row indices in total, split
     across classes by largest-remainder on the class counts, each class
     sampled uniformly without replacement.
     """
-    if not 0 < fraction <= 1:
-        raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
     if not len(train):
         raise ConfigurationError("cannot sample from an empty collection")
     if fraction == 1.0:
@@ -301,7 +278,7 @@ class ProportionalRandom(Strategy):
     name: ClassVar[str] = "proportional_random"
 
     def request(self, rec: IterationRecord, pools: ClassPools, budget: int) -> np.ndarray:
-        return allocate_proportional(rec.delta, budget, pools)
+        return allocate_proportional(rec.delta, budget)
 
 
 @dataclass(frozen=True)
@@ -340,7 +317,7 @@ _STRATEGIES = {cls.name: cls for cls in (FnrProportional, EntropyTopK, Proportio
 
 
 def parse_strategy(name: str, candidate_count: int | None = None, select_count: int | None = None) -> Strategy:
-    """The strategy called ``name``; the candidate sizes belong to ``entropy_topk`` alone."""
+    """The strategy called ``name``; only ``entropy_topk`` reads the candidate sizes."""
     cls = _STRATEGIES.get(name)
     if cls is None:
         raise ConfigurationError(f"unknown strategy {name!r}; expected one of {tuple(_STRATEGIES)}")
@@ -348,6 +325,4 @@ def parse_strategy(name: str, candidate_count: int | None = None, select_count: 
         if candidate_count is None or select_count is None:
             raise ConfigurationError("entropy_topk requires candidate_count and select_count")
         return EntropyTopK(candidate_count, select_count)
-    if candidate_count is not None or select_count is not None:
-        raise ConfigurationError(f"candidate/select counts only apply to entropy_topk, not {name!r}")
     return cls()

@@ -220,11 +220,22 @@ class TestExperimentConfig:
             pytest.param(
                 {"arm": "sl", "sl_fraction": 0.5, "budget": -7}, "budget must be >= 0, got -7", id="negative-budget-sl"
             ),
-            (dict(RUN_CFG, seeds=[]), "seeds must contain at least one seed"),
+            ({"arm": "sl", "sl_fraction": 0}, "sl_fraction must be in (0, 1], got 0.0"),
             (
                 {"arm": "sl", "sl_fraction": 0.5, "candidate_count": 10},
                 "candidate_count/select_count require strategy 'entropy_topk'",
             ),
+            pytest.param(
+                dict(RUN_CFG, candidate_count=10),
+                "candidate_count/select_count require strategy 'entropy_topk'",
+                id="counts-fnr_proportional",
+            ),
+            pytest.param(
+                dict(RUN_CFG, strategy="entropy_topk", candidate_count=20, select_count=30),
+                "select_count (30) must be <= candidate_count (20)",
+                id="select-above-candidates",
+            ),
+            ({"arm": "sl", "sl_fraction": 1.5}, "sl_fraction must be in (0, 1], got 1.5"),
         ],
     )
     def test_refusal_is_the_whole_error(self, given, message):
@@ -777,6 +788,15 @@ class TestRunVerb:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
         assert errors == ["error: seeds must be distinct, got [1, 1]"]
         assert not list((tmp_path / "o").glob("run-*.json"))
+
+    @pytest.mark.parametrize("flags, rc", [([], 2), (["--seed", "3"], 0)])
+    def test_empty_config_seeds_need_a_seed_flag(self, tmp_path, dataset_dir, capsys, flags, rc):
+        cfg = dict(RUN_CFG, dataset=str(dataset_dir), seeds=[], output_dir=str(tmp_path / "o"))
+        assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", cfg)), *flags]) == rc
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert errors == ([] if rc == 0 else ["error: seeds must contain at least one seed"])
+        written = [p.name.rsplit("-", 1)[1] for p in (tmp_path / "o").glob("run-*.json")]
+        assert written == (["seed3.json"] if rc == 0 else [])
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2(self, run_cfg_file, tmp_path, capsys, jobs):
