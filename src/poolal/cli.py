@@ -104,8 +104,6 @@ def _parse_seed_override(args: argparse.Namespace, config: ExperimentConfig) -> 
 def cmd_run(args: argparse.Namespace) -> int:
     config = decode(ExperimentConfig, load_yaml(args.config), args.config)
     seeds = _parse_seed_override(args, config)
-    out_dir = Path(args.out) if args.out is not None else Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     bundle, dataset_hash = resolve_dataset(config.dataset)
     print(
@@ -115,6 +113,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
     records = run_sweep(bundle, config, seeds, dataset_hash, jobs=args.jobs)
+    out_dir = Path(args.out) if args.out is not None else Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     chash = config.config_hash()
     for record in records:
         stem = f"{chash}-seed{record.seed}"

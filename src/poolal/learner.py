@@ -16,40 +16,32 @@ of the loop.
 All math is float64; training is single-threaded and bit-reproducible for
 a fixed :class:`~poolal.core.RandomSource`, stacked or alone.
 
-An SGD step runs in a kernel (:func:`_step_kernel`). A stack keeps its
-parameters in one flat float64 buffer ``P`` of shape ``(S, p)`` and its
-gradients in ``G``; each parameter is a view of ``P`` in ``PARAM_AXES``
-order. A kernel is built for one ``(S, B)`` shape and allocates its logits,
-their class-major copy, the max, the class sum and the MLP's hidden buffers
-once; every numpy call of a step writes into them, or into views of ``G``
-and ``P``, with ``out=``, so a step allocates no buffer. It makes the
-floating-point operations of the plain formulas (``_forward``, the softmax,
-``g = (p - Y) / B``, the gradient products and sums, ``P -= lr * G``) in
-the same order, so the bits are theirs: the bias add ``z + b`` is made
-while making the class-major copy, the softmax divide writes straight back
-into the row-major logits, and ``G *= lr`` then ``P -= G`` is the same
-product and difference. The class-major buffer is allocated C-order
-``(S, I, B)``: ``np.add(z.swapaxes(-1, -2), b)`` without ``out=`` would keep
-the row-major layout of ``z``, and every class pass would then stride
-across rows. :func:`gradient_check` takes its analytic gradient from a
-kernel call without a learning rate, so there is one gradient
-implementation.
+Every forward pass runs in one kernel (:func:`_kernel`): the SGD step, the
+per-epoch validation loss, the final training-loss check, the predictions
+and :func:`gradient_check`. A stack keeps its parameters in one flat
+float64 buffer ``P`` of shape ``(S, p)`` and its gradients in ``G``; each
+parameter is a view of ``P`` in ``PARAM_AXES`` order. A kernel is built for
+one ``(S, B)`` shape and allocates its buffers once; every numpy call of a
+step writes into them, or into views of ``G`` and ``P``, with ``out=``, so a
+step allocates no buffer. The softmax and the log-sum-exp reduce over the
+class axis of a C-order class-major copy of the logits, one elementwise
+pass per class; the bias add is made while making that copy.
 
-The softmax and the log-sum-exp reduce over the class axis of a class-major
-copy of the logits (:func:`_class_major_exp`, and the same passes in the
-step kernel), one elementwise pass per class. Below 8 classes the bits are
-those of the row-major formula, since numpy sums fewer than 8 elements of a
-row in index order. From 8 classes on, a block of two or more rows sums its
-classes in index order, where numpy would sum a row pairwise, so the last
-bits of a model of 8 or more classes may differ from the row-major
-formula's; a lone row is one contiguous run and is still summed pairwise.
-:func:`poolal.strategy.row_entropies` still sums each row.
+``tests/oracles.py`` holds the plain row-major formulas (``mean_loss``,
+``loss_and_gradient``, ``reference_sgd``) that the tests hold the kernel
+to. Below 8 classes the kernel gives their bits, since numpy sums fewer
+than 8 elements of a row in index order. From 8 classes on, a block of two
+or more rows sums its classes in index order, where numpy would sum a row
+pairwise, so the last bits may differ; a lone row is one contiguous run and
+is still summed pairwise. :func:`poolal.strategy.row_entropies` still sums
+each row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,59 +132,12 @@ def _init_params(config: LearnerConfig, feature_dim: int, num_classes: int, gen:
     return params
 
 
-def _forward(kind: str, params: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """Hidden activations (None for the linear model) and logits, built in place.
-
-    Leading axes stack independent models: ``(S, B, d)`` rows against
-    ``(S, d, I)`` weights and ``(S, I)`` biases give ``(S, B, I)`` logits.
-    """
-    if kind == "softmax_linear":
-        z = X @ params["W"]
-        z += params["b"][..., None, :]
-        return None, z
-    h = X @ params["W1"]
-    h += params["b1"][..., None, :]
-    np.tanh(h, out=h)
-    z = h @ params["W2"]
-    z += params["b2"][..., None, :]
-    return h, z
-
-
-def _class_major_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``exp(z - max)`` of logits ``(..., B, I)`` laid out class-major ``(..., I, B)``, with the max and the class sum.
-
-    Both reduce over the outer class axis, one elementwise pass per class,
-    where a reduction over the last axis runs one short inner loop per row.
-    The sum adds class 0 first, then 1, and so on (see the module docstring).
-    """
-    e = z.swapaxes(-1, -2).copy()  # C order, and never a view of z, which a lone row would be
-    zmax = np.maximum.reduce(e, axis=-2)
-    e -= zmax[..., None, :]
-    np.exp(e, out=e)
-    return e, zmax, np.add.reduce(e, axis=-2)
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of logits ``z``, written back into ``z``, which it returns."""
-    e, _, total = _class_major_exp(z)
-    e /= total[..., None, :]
-    z[...] = e.swapaxes(-1, -2)
-    return z
-
-
-def _mean_cross_entropy(kind: str, params: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray) -> float:
-    _, z = _forward(kind, params, X)
-    _, zmax, total = _class_major_exp(z)
-    lse = zmax + np.log(total)
-    return float(np.mean(lse - z[np.arange(len(y)), y]))
-
-
 def _param_views(kind: str, A: np.ndarray, dims: dict[str, int]) -> dict[str, np.ndarray]:
     """Each parameter as a view of the flat buffer ``A`` ``(..., p)``, laid out in ``PARAM_AXES`` order."""
     views, start = {}, 0
     for name, axes in PARAM_AXES[kind].items():
         shape = tuple(dims[a] for a in axes)
-        stop = start + int(np.prod(shape))
+        stop = start + math.prod(shape)
         views[name] = A[..., start:stop].reshape(A.shape[:-1] + shape)
         start = stop
     return views
@@ -203,33 +148,42 @@ def _pack(kind: str, params: Sequence[dict[str, np.ndarray]]) -> np.ndarray:
     return np.stack([np.concatenate([m[k].ravel() for k in PARAM_AXES[kind]]) for m in params])
 
 
-def _step_kernel(kind: str, P: np.ndarray, G: np.ndarray, dims: dict[str, int], B: int) -> Callable[..., None]:
-    """SGD on the stack of models ``P`` ``(S, p)`` with batches of ``B`` rows; buffers are allocated here, once.
+class _Kernel(NamedTuple):
+    proba: Callable[[np.ndarray], np.ndarray]
+    loss: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    step: Callable[..., None] | None
 
-    Returns ``step(X, Y, lr=None)`` for rows ``(S, B, d)`` and one-hot
-    targets ``(S, B, I)``. It writes the mean cross-entropy gradient into
-    ``G``, laid out as ``P``; given a learning rate, it then scales ``G`` by
-    it and subtracts it from ``P``. No loss is formed. The floating-point
-    operations and their order are those of the plain formulas (see the
-    module docstring).
+
+def _kernel(kind: str, P: np.ndarray, dims: dict[str, int], B: int, G: np.ndarray | None = None) -> _Kernel:
+    """Forward passes of the stack of models ``P`` ``(S, p)`` on ``B`` rows; buffers are allocated here, once.
+
+    Rows ``X`` are ``(S, B, d)``, or ``(B, d)`` shared by every model.
+    ``proba(X)`` returns the ``(S, B, I)`` softmax in a buffer the next call
+    overwrites. ``loss(X, y)`` returns the mean cross-entropy of each model
+    on labels ``y`` ``(B,)``, shape ``(S,)``. Given ``G``, ``step(X, Y,
+    lr=None)`` writes the mean cross-entropy gradient for one-hot targets
+    ``Y`` ``(S, B, I)`` into ``G``, laid out as ``P``, and given a learning
+    rate, scales ``G`` by it and subtracts it from ``P``; without ``G``,
+    ``step`` is None.
     """
     S, I = P.shape[0], dims["I"]
-    p, g = _param_views(kind, P, dims), _param_views(kind, G, dims)
+    p = _param_views(kind, P, dims)
     mlp = kind == "mlp"
-    W, b, gW, gb = (p["W2"], p["b2"], g["W2"], g["b2"]) if mlp else (p["W"], p["b"], g["W"], g["b"])
-    b = b[..., None]
-    z = np.empty((S, B, I))
+    W, b = (p["W2"], p["b2"]) if mlp else (p["W"], p["b"])
+    bt = b[..., None]
+    z = np.empty((S, B, I))  # X·W, without the bias
     zt = z.swapaxes(-1, -2)
     e = np.empty((S, I, B))  # C order: a transposed copy made without out= keeps z's row-major layout
     zmax, total = np.empty((S, B)), np.empty((S, B))
     zmax_b, total_b = zmax[..., None, :], total[..., None, :]
+    z_flat, label_at, picked = z.reshape(S, B * I), np.arange(B) * I, np.empty((S, B))
     if mlp:
-        W1, b1, gW1, gb1, Wt = p["W1"], p["b1"][..., None, :], g["W1"], g["b1"], W.swapaxes(-1, -2)
-        h, t, gh = (np.empty((S, B, dims["H"])) for _ in range(3))
-        ht = h.swapaxes(-1, -2)
+        W1, b1 = p["W1"], p["b1"][..., None, :]
+        h = np.empty((S, B, dims["H"]))
     matmul, add = np.matmul, np.add
 
-    def step(X: np.ndarray, Y: np.ndarray, lr: float | None = None) -> None:
+    def forward(X: np.ndarray) -> None:
+        """``e = exp(z + b - max)`` class-major, with the max and the class sum."""
         if mlp:
             matmul(X, W1, out=h)
             add(h, b1, out=h)
@@ -237,12 +191,37 @@ def _step_kernel(kind: str, P: np.ndarray, G: np.ndarray, dims: dict[str, int], 
             matmul(h, W, out=z)
         else:
             matmul(X, W, out=z)
-        add(zt, b, out=e)
+        add(zt, bt, out=e)
         np.maximum.reduce(e, axis=-2, out=zmax)
         np.subtract(e, zmax_b, out=e)
         np.exp(e, out=e)
         add.reduce(e, axis=-2, out=total)
+
+    def proba(X: np.ndarray) -> np.ndarray:
+        forward(X)
         np.divide(e, total_b, out=zt)
+        return z
+
+    def loss(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        forward(X)
+        np.log(total, out=total)
+        add(zmax, total, out=total)
+        np.take(z_flat, label_at + y, axis=1, out=picked)
+        np.take(b, y, axis=1, out=zmax)  # the max is spent; it holds each row's label bias
+        add(picked, zmax, out=picked)  # the label's logit, by the one bias add the class-major copy makes
+        np.subtract(total, picked, out=picked)
+        return np.mean(picked, axis=-1)  # C order, so each row sums pairwise as a lone vector would
+
+    if G is None:
+        return _Kernel(proba, loss, None)
+    g = _param_views(kind, G, dims)
+    gW, gb = (g["W2"], g["b2"]) if mlp else (g["W"], g["b"])
+    if mlp:
+        gW1, gb1, Wt, ht = g["W1"], g["b1"], W.swapaxes(-1, -2), h.swapaxes(-1, -2)
+        t, gh = np.empty_like(h), np.empty_like(h)
+
+    def step(X: np.ndarray, Y: np.ndarray, lr: float | None = None) -> None:
+        proba(X)
         np.subtract(z, Y, out=z)
         np.divide(z, B, out=z)
         Xt = X.swapaxes(-1, -2)
@@ -261,7 +240,7 @@ def _step_kernel(kind: str, P: np.ndarray, G: np.ndarray, dims: dict[str, int], 
             np.multiply(G, lr, out=G)
             np.subtract(P, G, out=P)
 
-    return step
+    return _Kernel(proba, loss, step)
 
 
 def _check_initial(initial: TrainedModel, config: LearnerConfig, feature_dim: int, num_classes: int) -> None:
@@ -294,7 +273,7 @@ class _Fit:
     params: dict[str, np.ndarray]
     log: list[float] = field(default_factory=list)
     best_val: float = np.inf
-    best_params: dict[str, np.ndarray] = field(default_factory=dict)
+    best: np.ndarray | None = None  # the best epoch's parameters, as a one-model stack (1, p)
     best_epoch: int = 0
     bad_epochs: int = 0
 
@@ -330,10 +309,11 @@ def train_stack(
     buffers, so a job's rows are held once. The full batches that
     every job has step as one ``(S, B, ·)`` batch; each job's remaining full
     batches and its ragged tail then step alone, on a kernel of that batch's
-    shape over the job's row of the stacked parameters. A job that stops
-    early or fails leaves the stack, which re-packs the parameters and
-    rebuilds the shared kernel; a failed job's slot holds its error in place
-    of a model.
+    shape over the job's row of the stacked parameters. One call of a
+    validation kernel then scores every job. A job that stops early or fails
+    leaves the stack, which re-packs the parameters and rebuilds the shared
+    step and validation kernels; a failed job's slot holds its error in
+    place of a model.
     """
     out: list = [None] * len(jobs)
     fits: list[_Fit] = []
@@ -355,7 +335,7 @@ def train_stack(
     dims = {"d": feature_dim, "I": num_classes, "H": config.hidden_units}
     P = _pack(kind, [f.params for f in fits])
     G = np.empty_like(P)
-    shared_step = _step_kernel(kind, P, G, dims, B)
+    shared_step, val_loss = _kernel(kind, P, dims, B, G).step, _kernel(kind, P, dims, len(yv)).loss
     alone_steps = {}  # (stack slot, batch rows) -> kernel on that slot's row of P
     done: list[_Fit] = []
 
@@ -369,26 +349,23 @@ def train_stack(
         shared = min(len(f.rows) for f in fits) // B * B
         for a in range(0, shared, B):
             shared_step(Xs[:S, a : a + B], Ys[:S, a : a + B], lr)
-
-        keep = []
         for s, f in enumerate(fits):
             n = len(f.rows)
             for a in range(shared, n, B):
                 m = min(B, n - a)
                 step = alone_steps.get((s, m))
                 if step is None:
-                    step = alone_steps[s, m] = _step_kernel(kind, P[s : s + 1], G[s : s + 1], dims, m)
+                    step = alone_steps[s, m] = _kernel(kind, P[s : s + 1], dims, m, G[s : s + 1]).step
                 step(Xs[s : s + 1, a : a + m], Ys[s : s + 1, a : a + m], lr)
 
-            params = _param_views(kind, P[s], dims)
-            val_loss = _mean_cross_entropy(kind, params, Xv, yv)
-            if not np.isfinite(val_loss):
+        keep = []
+        for s, (f, loss) in enumerate(zip(fits, val_loss(Xv, yv).tolist())):
+            if not np.isfinite(loss):
                 out[f.job] = TrainingError(f"non-finite loss at epoch {epoch} (training diverged)")
                 continue
-            f.log.append(val_loss)
-            if val_loss < f.best_val:
-                f.best_val, f.best_epoch, f.bad_epochs = val_loss, epoch, 0
-                f.best_params = {k: v.copy() for k, v in params.items()}
+            f.log.append(loss)
+            if loss < f.best_val:
+                f.best_val, f.best_epoch, f.bad_epochs, f.best = loss, epoch, 0, P[s : s + 1].copy()
             else:
                 f.bad_epochs += 1
                 if f.bad_epochs >= config.patience:
@@ -400,19 +377,19 @@ def train_stack(
             if not fits:
                 break
             P, G = P[keep], G[: len(keep)]
-            shared_step = _step_kernel(kind, P, G, dims, B)
+            shared_step, val_loss = _kernel(kind, P, dims, B, G).step, _kernel(kind, P, dims, len(yv)).loss
             alone_steps.clear()
 
     for f in done + fits:
         blocks = (f.rows[a : a + _LOSS_BLOCK] for a in range(0, len(f.rows), _LOSS_BLOCK))
-        if not all(np.isfinite(_mean_cross_entropy(kind, f.best_params, f.split.X[r], f.split.y[r])) for r in blocks):
+        if not all(np.isfinite(_kernel(kind, f.best, dims, len(r)).loss(f.split.X[r], f.split.y[r])[0]) for r in blocks):
             out[f.job] = TrainingError(f"non-finite training loss at epoch {f.best_epoch} (training diverged)")
             continue
         out[f.job] = TrainedModel(
             kind=config.kind,
             feature_dim=feature_dim,
             num_classes=num_classes,
-            params=f.best_params,
+            params=_param_views(kind, f.best[0], dims),
             training_log=f.log,
             stopped_epoch=len(f.log),
             best_epoch=f.best_epoch,
@@ -449,19 +426,22 @@ def _check_features(model: TrainedModel, features: np.ndarray) -> np.ndarray:
     return features
 
 
+def _proba(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    dims = {"d": model.feature_dim, "I": model.num_classes, "H": len(model.params.get("b1", ()))}
+    return _kernel(model.kind, _pack(model.kind, [model.params]), dims, len(X)).proba(X)[0]
+
+
 def predict_proba(model: TrainedModel, features: np.ndarray) -> np.ndarray:
     """Class-probability vector for one feature vector (softmax of the logits)."""
     features = _check_features(model, features)
-    squeeze = features.ndim == 1
-    _, z = _forward(model.kind, model.params, np.atleast_2d(features))
-    p = _softmax(z)
-    return p[0] if squeeze else p
+    p = _proba(model, np.atleast_2d(features))
+    return p[0] if features.ndim == 1 else p
 
 
 def predict_batch(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Predicted class indices for a feature matrix; ties go to the lowest index."""
     X = _check_features(model, np.atleast_2d(np.asarray(X, dtype=float)))
-    return np.argmax(_softmax(_forward(model.kind, model.params, X)[1]), axis=1)
+    return np.argmax(_proba(model, X), axis=1)
 
 
 def gradient_check(
@@ -483,29 +463,21 @@ def gradient_check(
         num_classes = int(y.max()) + 1
 
     gen = rng.generator()
-    params = _init_params(config, X.shape[1], num_classes, gen)
-    for k in params:
-        params[k] = gen.uniform(-0.5, 0.5, size=params[k].shape)
-
-    dims = {"d": X.shape[1], "I": num_classes, "H": config.hidden_units}
-    P = _pack(config.kind, [params])
+    p = sum(v.size for v in _init_params(config, X.shape[1], num_classes, gen).values())
+    P = gen.uniform(-0.5, 0.5, (1, p))  # after a fresh init's draws, every parameter in PARAM_AXES order
     G = np.empty_like(P)
-    _step_kernel(config.kind, P, G, dims, len(y))(X[None], np.eye(num_classes)[y][None])
-    grads = _param_views(config.kind, G[0], dims)
+    dims = {"d": X.shape[1], "I": num_classes, "H": config.hidden_units}
+    kernel = _kernel(config.kind, P, dims, len(y), G)
+    kernel.step(X[None], np.eye(num_classes)[y][None])
 
     max_rel = 0.0
-    for name in sorted(params):
-        arr = params[name]
-        flat = arr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = _mean_cross_entropy(config.kind, params, X, y)
-            flat[i] = orig - step
-            down = _mean_cross_entropy(config.kind, params, X, y)
-            flat[i] = orig
-            fd = (up - down) / (2.0 * step)
-            an = grads[name].ravel()[i]
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-8)
-            max_rel = max(max_rel, rel)
+    for i, an in enumerate(G[0].tolist()):
+        orig = P[0, i]
+        P[0, i] = orig + step
+        up = kernel.loss(X, y)[0]
+        P[0, i] = orig - step
+        down = kernel.loss(X, y)[0]
+        P[0, i] = orig
+        fd = (up - down) / (2.0 * step)
+        max_rel = max(max_rel, abs(fd - an) / max(abs(fd), abs(an), 1e-8))
     return max_rel

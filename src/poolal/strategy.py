@@ -209,8 +209,6 @@ def sample_fraction(train: Split, fraction: float, rng: RandomSource) -> np.ndar
     across classes by largest-remainder on the class counts, each class
     sampled uniformly without replacement.
     """
-    if not len(train):
-        raise ConfigurationError("cannot sample from an empty collection")
     if fraction == 1.0:
         return np.arange(len(train))
 

@@ -789,6 +789,13 @@ class TestRunVerb:
         assert errors == ["error: seeds must be distinct, got [1, 1]"]
         assert not list((tmp_path / "o").glob("run-*.json"))
 
+    def test_a_refused_run_leaves_no_output_directory(self, tmp_path, dataset_dir, capsys):
+        cfg = dict(RUN_CFG, dataset=str(dataset_dir), seeds=[0, 0], output_dir=str(tmp_path / "o"))
+        assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", cfg))]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: seeds must be distinct, got [0, 0]"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flags, rc", [([], 2), (["--seed", "3"], 0)])
     def test_empty_config_seeds_need_a_seed_flag(self, tmp_path, dataset_dir, capsys, flags, rc):
         cfg = dict(RUN_CFG, dataset=str(dataset_dir), seeds=[], output_dir=str(tmp_path / "o"))

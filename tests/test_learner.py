@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_split
-from oracles import loss_and_gradient, reference_sgd
+from oracles import _logits, loss_and_gradient, mean_loss, reference_sgd
 from poolal import learner
 from poolal.config import decode
 from poolal.core import RandomSource, Split, TrainingSet
@@ -243,13 +243,18 @@ class TestTrain:
         ],
     )
     def test_loss_computed_once_per_epoch_on_validation_only(self, kwargs, monkeypatch):
-        calls, mean_cross_entropy = [], learner._mean_cross_entropy
+        calls, make_kernel = [], learner._kernel
 
-        def counting(kind, params, X, y):
-            calls.append((X, y))
-            return mean_cross_entropy(kind, params, X, y)
+        def counting(*args, **kwargs):
+            kernel = make_kernel(*args, **kwargs)
 
-        monkeypatch.setattr(learner, "_mean_cross_entropy", counting)
+            def loss(X, y):
+                calls.append((X, y))
+                return kernel.loss(X, y)
+
+            return kernel._replace(loss=loss)
+
+        monkeypatch.setattr(learner, "_kernel", counting)
         val = noisy_blobs(60, seed=2)
         cfg = LearnerConfig(batch_size=16, **kwargs)
         samples = noisy_blobs(101, seed=1)
@@ -293,11 +298,11 @@ def index_order_sum(e):
     return total
 
 
-def mean_cross_entropy_of(z, y):
-    """``learner._mean_cross_entropy`` on the given logits."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(learner, "_forward", lambda kind, params, X: (None, z.copy()))
-        return learner._mean_cross_entropy("softmax_linear", {}, None, y)
+def identity_kernel(z):
+    """A kernel over ``S`` linear models with ``W = I`` and ``b = 0``, so the rows of ``z`` ``(S, B, I)`` are their logits."""
+    S, B, I = z.shape
+    P = learner._pack("softmax_linear", [{"W": np.eye(I), "b": np.zeros(I)}] * S)
+    return learner._kernel("softmax_linear", P, {"d": I, "I": I}, B)
 
 
 # Spreads up to 1400, where exp underflows to 0, and ties and signed zeros among the maxima.
@@ -317,10 +322,10 @@ class TestClassMajorSoftmax:
     @settings(max_examples=300, deadline=None)
     @given(logit_stacks(st.integers(2, 7)))
     def test_same_bits_as_row_major_below_8_classes(self, z):
-        assert learner._softmax(z.copy()).tobytes() == row_major_softmax(z).tobytes()
-        for block in z:
-            y = np.arange(len(block)) % block.shape[1]
-            assert mean_cross_entropy_of(block, y) == row_major_mean_cross_entropy(block, y)
+        kernel, y = identity_kernel(z), np.arange(z.shape[1]) % z.shape[2]
+        assert kernel.proba(z).tobytes() == row_major_softmax(z).tobytes()
+        for loss, block in zip(kernel.loss(z, y).tolist(), z):
+            assert loss == row_major_mean_cross_entropy(block, y)
 
     @settings(max_examples=200, deadline=None)
     @given(logit_stacks(st.integers(8, 16)))
@@ -328,20 +333,20 @@ class TestClassMajorSoftmax:
         # A lone row is one contiguous run in either layout, so numpy sums it as it sums a row.
         class_sum = index_order_sum if z.shape[1] > 1 else (lambda e: e.sum(axis=-1))
         e = np.exp(z - z.max(axis=-1, keepdims=True))
-        p = learner._softmax(z.copy())
+        kernel, y = identity_kernel(z), np.arange(z.shape[1]) % z.shape[2]
+        p = kernel.proba(z)
         assert p.tobytes() == (e / class_sum(e)[..., None]).tobytes()
         assert np.all(np.abs(p.sum(axis=-1) - 1.0) <= 1e-12)
-        for block in z:
-            y = np.arange(len(block)) % block.shape[1]
-            assert mean_cross_entropy_of(block, y) == row_major_mean_cross_entropy(block, y, class_sum)
+        for loss, block in zip(kernel.loss(z, y).tolist(), z):
+            assert loss == row_major_mean_cross_entropy(block, y, class_sum)
 
 
 def linear_kernel_gradients(params, X, y):
-    """The step kernel's gradient-only call on one linear model, as a dict of gradient arrays."""
+    """The kernel's gradient-only step on one linear model, as a dict of gradient arrays."""
     dims = {"d": X.shape[1], "I": len(params["b"])}
     P = learner._pack("softmax_linear", [params])
     G = np.empty_like(P)
-    learner._step_kernel("softmax_linear", P, G, dims, len(y))(X[None], np.eye(dims["I"])[y][None])
+    learner._kernel("softmax_linear", P, dims, len(y), G).step(X[None], np.eye(dims["I"])[y][None])
     return learner._param_views("softmax_linear", G[0], dims)
 
 
@@ -495,12 +500,30 @@ class TestTrainStack:
         X = gen.standard_normal((1, rows, 4))
         Y = np.eye(3)[gen.integers(0, 3, (1, rows))]
         before = P.copy()
-        learner._step_kernel(kind, P[1:2], G[1:2], dims, rows)(X, Y, 0.5)
+        learner._kernel(kind, P[1:2], dims, rows, G[1:2]).step(X, Y, 0.5)
 
         alone = learner._pack(kind, models[1:2])
-        learner._step_kernel(kind, alone, np.empty_like(alone), dims, rows)(X, Y, 0.5)
+        learner._kernel(kind, alone, dims, rows, np.empty_like(alone)).step(X, Y, 0.5)
         assert P[0].tobytes() == before[0].tobytes() and P[2].tobytes() == before[2].tobytes()
         assert P[1].tobytes() == alone[0].tobytes() != before[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["softmax_linear", "mlp"])
+    @pytest.mark.parametrize("rows", [1, 37])
+    def test_each_slot_of_a_kernel_scores_as_its_model_alone(self, kind, rows):
+        dims = {"d": 4, "I": 3, "H": 6}
+        gen = np.random.default_rng(1)
+        shapes = learner._init_params(LearnerConfig(kind=kind, hidden_units=6), 4, 3, gen)
+        models = [{k: gen.uniform(-1.0, 1.0, v.shape) for k, v in shapes.items()} for _ in range(3)]
+        X, y = gen.standard_normal((rows, 4)), gen.integers(0, 3, rows)
+        stacked = learner._kernel(kind, learner._pack(kind, models), dims, rows)
+        losses, proba = stacked.loss(X, y), stacked.proba(X).copy()
+        for s, model in enumerate(models):
+            alone = learner._kernel(kind, learner._pack(kind, [model]), dims, rows)
+            assert losses[s : s + 1].tobytes() == alone.loss(X, y).tobytes()
+            assert proba[s].tobytes() == alone.proba(X)[0].tobytes()
+            # below 8 classes, the plain row-major formulas give the same bits
+            assert losses[s] == mean_loss(kind, model, X, y)
+            assert proba[s].tobytes() == row_major_softmax(_logits(kind, model, X)[0]).tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_jobs_hold_their_error_and_the_others_train_on(self):
