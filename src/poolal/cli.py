@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .errors import ConfigurationError, PoolalError
 from .reporting import group_and_aggregate, render_table, write_report_csv
 from .synthgen import PRESETS, GeneratorSpec, generate
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "entry", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,6 +105,9 @@ def _parse_seed_override(args: argparse.Namespace, config: ExperimentConfig) -> 
 def cmd_run(args: argparse.Namespace) -> int:
     config = decode(ExperimentConfig, load_yaml(args.config), args.config)
     seeds = _parse_seed_override(args, config)
+    out_dir = Path(args.out) if args.out is not None else Path(config.output_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigurationError(f"output path {out_dir} exists and is not a directory")
 
     bundle, dataset_hash = resolve_dataset(config.dataset)
     print(
@@ -113,7 +117,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
     records = run_sweep(bundle, config, seeds, dataset_hash, jobs=args.jobs)
-    out_dir = Path(args.out) if args.out is not None else Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config.config_hash()
     for record in records:
@@ -164,5 +167,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The ``poolal`` command: :func:`main`, then a GC freeze; ``main`` never freezes, so it can run in-process."""
+    code = main()
+    gc.freeze()  # every output is closed by now; the exit's final collections skip the frozen objects
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -16,7 +16,8 @@ the value: config values in the ``__post_init__`` of ``ExperimentConfig``,
 ``EntropyTopK`` and ``LearnerConfig``; dataset contents in
 ``DatasetBundle.build``; seeds, from the config or a CLI override, in
 ``run_sweep``; loop invariants in ``engine._check_append``; weight sums in
-``largest_remainder``; a set of run records in ``group_and_aggregate``.
+``largest_remainder``; a set of run records in ``group_and_aggregate``; a
+run's output path in ``cli.cmd_run``.
 """
 
 from __future__ import annotations

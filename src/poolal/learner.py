@@ -22,9 +22,13 @@ and :func:`gradient_check`. A stack keeps its parameters in one flat
 float64 buffer ``P`` of shape ``(S, p)`` and its gradients in ``G``; each
 parameter is a view of ``P`` in ``PARAM_AXES`` order. A kernel is built for
 one ``(S, B)`` shape and allocates its buffers once; every numpy call of a
-step writes into them, or into views of ``G`` and ``P``, with ``out=``, so a
-step allocates no buffer. The softmax and the log-sum-exp reduce over the
-class axis of a C-order class-major copy of the logits, one elementwise
+step writes into them, or into views of ``G`` and ``P``, so a step allocates
+no buffer. A step's numpy calls cost about 1 µs each, so its Python work
+shows too: the kernel binds its ufuncs and reductions as locals and passes
+``out`` positionally, ``step`` calls ``forward`` itself, and
+:func:`train_stack` builds its shared batches' ``(X, Y, Xᵀ)`` views once per
+stack shape, not once per step. The softmax and the log-sum-exp reduce over
+the class axis of a C-order class-major copy of the logits, one elementwise
 pass per class; the bias add is made while making that copy.
 
 ``tests/oracles.py`` holds the plain row-major formulas (``mean_loss``,
@@ -160,11 +164,11 @@ def _kernel(kind: str, P: np.ndarray, dims: dict[str, int], B: int, G: np.ndarra
     Rows ``X`` are ``(S, B, d)``, or ``(B, d)`` shared by every model.
     ``proba(X)`` returns the ``(S, B, I)`` softmax in a buffer the next call
     overwrites. ``loss(X, y)`` returns the mean cross-entropy of each model
-    on labels ``y`` ``(B,)``, shape ``(S,)``. Given ``G``, ``step(X, Y,
-    lr=None)`` writes the mean cross-entropy gradient for one-hot targets
+    on labels ``y`` ``(B,)``, shape ``(S,)``. Given ``G``, ``step(X, Y, lr=None,
+    Xt=None)`` writes the mean cross-entropy gradient for one-hot targets
     ``Y`` ``(S, B, I)`` into ``G``, laid out as ``P``, and given a learning
-    rate, scales ``G`` by it and subtracts it from ``P``; without ``G``,
-    ``step`` is None.
+    rate, scales ``G`` by it and subtracts it from ``P``; ``Xt`` is ``X``'s
+    transposed view, if the caller has one. Without ``G``, ``step`` is None.
     """
     S, I = P.shape[0], dims["I"]
     p = _param_views(kind, P, dims)
@@ -180,26 +184,27 @@ def _kernel(kind: str, P: np.ndarray, dims: dict[str, int], B: int, G: np.ndarra
     if mlp:
         W1, b1 = p["W1"], p["b1"][..., None, :]
         h = np.empty((S, B, dims["H"]))
-    matmul, add = np.matmul, np.add
+    matmul, add, subtract, divide, multiply = np.matmul, np.add, np.subtract, np.divide, np.multiply
+    exp, tanh, max_reduce, sum_reduce = np.exp, np.tanh, np.maximum.reduce, np.add.reduce
 
     def forward(X: np.ndarray) -> None:
         """``e = exp(z + b - max)`` class-major, with the max and the class sum."""
         if mlp:
-            matmul(X, W1, out=h)
-            add(h, b1, out=h)
-            np.tanh(h, out=h)
-            matmul(h, W, out=z)
+            matmul(X, W1, h)
+            add(h, b1, h)
+            tanh(h, h)
+            matmul(h, W, z)
         else:
-            matmul(X, W, out=z)
-        add(zt, bt, out=e)
-        np.maximum.reduce(e, axis=-2, out=zmax)
-        np.subtract(e, zmax_b, out=e)
-        np.exp(e, out=e)
-        add.reduce(e, axis=-2, out=total)
+            matmul(X, W, z)
+        add(zt, bt, e)
+        max_reduce(e, -2, None, zmax)
+        subtract(e, zmax_b, e)
+        exp(e, e)
+        sum_reduce(e, -2, None, total)
 
     def proba(X: np.ndarray) -> np.ndarray:
         forward(X)
-        np.divide(e, total_b, out=zt)
+        divide(e, total_b, zt)
         return z
 
     def loss(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -220,25 +225,27 @@ def _kernel(kind: str, P: np.ndarray, dims: dict[str, int], B: int, G: np.ndarra
         gW1, gb1, Wt, ht = g["W1"], g["b1"], W.swapaxes(-1, -2), h.swapaxes(-1, -2)
         t, gh = np.empty_like(h), np.empty_like(h)
 
-    def step(X: np.ndarray, Y: np.ndarray, lr: float | None = None) -> None:
-        proba(X)
-        np.subtract(z, Y, out=z)
-        np.divide(z, B, out=z)
-        Xt = X.swapaxes(-1, -2)
+    def step(X: np.ndarray, Y: np.ndarray, lr: float | None = None, Xt: np.ndarray | None = None) -> None:
+        forward(X)
+        divide(e, total_b, zt)
+        subtract(z, Y, z)
+        divide(z, B, z)
+        if Xt is None:
+            Xt = X.swapaxes(-1, -2)
         if mlp:
-            matmul(z, Wt, out=gh)
-            np.multiply(h, h, out=t)
-            np.subtract(1.0, t, out=t)
-            np.multiply(gh, t, out=gh)
-            matmul(Xt, gh, out=gW1)
-            add.reduce(gh, axis=-2, out=gb1)
-            matmul(ht, z, out=gW)
+            matmul(z, Wt, gh)
+            multiply(h, h, t)
+            subtract(1.0, t, t)
+            multiply(gh, t, gh)
+            matmul(Xt, gh, gW1)
+            sum_reduce(gh, -2, None, gb1)
+            matmul(ht, z, gW)
         else:
-            matmul(Xt, z, out=gW)
-        add.reduce(z, axis=-2, out=gb)
+            matmul(Xt, z, gW)
+        sum_reduce(z, -2, None, gb)
         if lr is not None:
-            np.multiply(G, lr, out=G)
-            np.subtract(P, G, out=P)
+            multiply(G, lr, G)
+            subtract(P, G, P)
 
     return _Kernel(proba, loss, step)
 
@@ -312,8 +319,8 @@ def train_stack(
     shape over the job's row of the stacked parameters. One call of a
     validation kernel then scores every job. A job that stops early or fails
     leaves the stack, which re-packs the parameters and rebuilds the shared
-    step and validation kernels; a failed job's slot holds its error in
-    place of a model.
+    step and validation kernels and the shared batch views; a failed job's
+    slot holds its error in place of a model.
     """
     out: list = [None] * len(jobs)
     fits: list[_Fit] = []
@@ -335,20 +342,23 @@ def train_stack(
     dims = {"d": feature_dim, "I": num_classes, "H": config.hidden_units}
     P = _pack(kind, [f.params for f in fits])
     G = np.empty_like(P)
-    shared_step, val_loss = _kernel(kind, P, dims, B, G).step, _kernel(kind, P, dims, len(yv)).loss
-    alone_steps = {}  # (stack slot, batch rows) -> kernel on that slot's row of P
+    batches = None  # the shared batches' (X, Y, Xᵀ) views, built with the shared kernels once per stack shape
     done: list[_Fit] = []
 
     for epoch in range(1, config.max_epochs + 1):
+        if batches is None:
+            S, shared = len(fits), min(len(f.rows) for f in fits) // B * B
+            shared_step, val_loss = _kernel(kind, P, dims, B, G).step, _kernel(kind, P, dims, len(yv)).loss
+            views = [(Xs[:S, a : a + B], Ys[:S, a : a + B]) for a in range(0, shared, B)]
+            batches = [(X, Y, X.swapaxes(-1, -2)) for X, Y in views]
+            alone_steps = {}  # (stack slot, batch rows) -> kernel on that slot's row of P
         for s, f in enumerate(fits):
             n = len(f.rows)
             rows = f.rows[f.gen.permutation(n)]
             np.take(f.split.X, rows, axis=0, out=Xs[s, :n], mode="clip")
             np.take(eye, f.split.y[rows], axis=0, out=Ys[s, :n], mode="clip")
-        S = len(fits)
-        shared = min(len(f.rows) for f in fits) // B * B
-        for a in range(0, shared, B):
-            shared_step(Xs[:S, a : a + B], Ys[:S, a : a + B], lr)
+        for X, Y, Xt in batches:
+            shared_step(X, Y, lr, Xt)
         for s, f in enumerate(fits):
             n = len(f.rows)
             for a in range(shared, n, B):
@@ -372,13 +382,11 @@ def train_stack(
                     done.append(f)
                     continue
             keep.append(s)
-        if len(keep) < S:
+        if len(keep) < len(fits):
             fits = [fits[s] for s in keep]
             if not fits:
                 break
-            P, G = P[keep], G[: len(keep)]
-            shared_step, val_loss = _kernel(kind, P, dims, B, G).step, _kernel(kind, P, dims, len(yv)).loss
-            alone_steps.clear()
+            P, G, batches = P[keep], G[: len(keep)], None
 
     for f in done + fits:
         blocks = (f.rows[a : a + _LOSS_BLOCK] for a in range(0, len(f.rows), _LOSS_BLOCK))

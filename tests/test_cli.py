@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import os
 import re
@@ -812,6 +813,16 @@ class TestRunVerb:
         assert errors == [f"error: jobs must be >= 1, got {jobs}"]
         assert not list((tmp_path / "o").glob("run-*.json"))
 
+    def test_an_out_path_that_is_a_file_is_refused_before_the_sweep(self, run_cfg_file, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        sweep = mock.Mock(return_value=[])
+        monkeypatch.setattr("poolal.cli.run_sweep", sweep)
+        assert main(["run", "--config", str(run_cfg_file), "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == f"error: output path {taken} exists and is not a directory\n"
+        assert taken.read_bytes() == b"not a directory\n"
+        assert not sweep.called
+
 
 class TestReportVerb:
     def test_single_record_std_zero(self, run_cfg_file, tmp_path, capsys):
@@ -1145,3 +1156,39 @@ def test_cli_import_leaves_the_process_pool_out():
     probe = "import sys, poolal.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_the_module_entry_writes_what_main_writes(tmp_path, monkeypatch, capsys):
+    """``python -m poolal.cli`` exits through ``entry``; each command writes the bytes and stdout of in-process ``main``."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    spec = dict(GEN_SPEC, per_class_train_counts=[20, 20, 20], per_class_val_counts=[6, 6, 6], per_class_test_counts=[6, 6, 6])
+    cfg = dict(RUN_CFG, dataset="data", output_dir="out", per_class_initial=5, budget=6)
+    sides = {"child": tmp_path / "child", "main": tmp_path / "main"}
+    for side in sides.values():
+        side.mkdir()
+        write_yaml(side / "spec.yaml", spec)
+        write_yaml(side / "cfg.yaml", cfg)
+    monkeypatch.chdir(sides["main"])
+    frozen = gc.get_freeze_count()
+    commands = [["generate", "--spec", "spec.yaml", "--out", "data"], ["run", "--config", "cfg.yaml", "--save-models"]]
+    for argv in commands + [None]:
+        if argv is None:  # the report reads the records the run wrote
+            argv = ["report", "--out", "rep", *sorted(str(p) for p in Path("out").glob("run-*.json"))]
+        child = subprocess.run(
+            [sys.executable, "-m", "poolal.cli", *argv], cwd=sides["child"], env=env, capture_output=True, text=True
+        )
+        capsys.readouterr()
+        assert (child.returncode, main(argv)) == (0, 0), child.stderr
+        assert child.stdout == capsys.readouterr().out
+    assert gc.get_freeze_count() == frozen
+
+    files = {name: {p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file()} for name, d in sides.items()}
+    assert any(p.name.startswith("model-") for p in files["main"]) and any(p.parts[0] == "rep" for p in files["main"])
+    assert files["child"] == files["main"]
+
+
+def test_the_console_script_exits_through_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["scripts"] == {"poolal": "poolal.cli:entry"}

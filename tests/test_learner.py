@@ -508,6 +508,25 @@ class TestTrainStack:
         assert P[1].tobytes() == alone[0].tobytes() != before[1].tobytes()
 
     @pytest.mark.parametrize("kind", ["softmax_linear", "mlp"])
+    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 15])
+    def test_a_prebuilt_transposed_batch_steps_as_the_kernels_own(self, kind, S, rows):
+        dims = {"d": 4, "I": 3, "H": 6}
+        gen = np.random.default_rng(2)
+        models = [learner._init_params(LearnerConfig(kind=kind, hidden_units=6, init_scale=0.5), 4, 3, gen) for _ in range(S)]
+        X = gen.standard_normal((S, rows + 5, 4))[:, 2 : 2 + rows]  # a batch is a slice of a larger buffer, as in train_stack
+        Y = np.eye(3)[gen.integers(0, 3, (S, rows))]
+        start = learner._pack(kind, models)
+        written = []
+        for args in ((X, Y, 0.5), (X, Y, 0.5, X.swapaxes(-1, -2))):
+            P = start.copy()
+            G = np.empty_like(P)
+            learner._kernel(kind, P, dims, rows, G).step(*args)
+            written.append((P.tobytes(), G.tobytes()))
+        assert written[0] == written[1]
+        assert written[0][0] != start.tobytes()
+
+    @pytest.mark.parametrize("kind", ["softmax_linear", "mlp"])
     @pytest.mark.parametrize("rows", [1, 37])
     def test_each_slot_of_a_kernel_scores_as_its_model_alone(self, kind, rows):
         dims = {"d": 4, "I": 3, "H": 6}
