@@ -106,8 +106,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = decode(ExperimentConfig, load_yaml(args.config), args.config)
     seeds = _parse_seed_override(args, config)
     out_dir = Path(args.out) if args.out is not None else Path(config.output_dir)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ConfigurationError(f"output path {out_dir} exists and is not a directory")
+    nearest = next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists())
+    if not nearest.is_dir():
+        where = "exists and" if nearest is out_dir else f"is under {nearest}, which"
+        raise ConfigurationError(f"output path {out_dir} {where} is not a directory")
 
     bundle, dataset_hash = resolve_dataset(config.dataset)
     print(

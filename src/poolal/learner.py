@@ -9,9 +9,9 @@ divergence the validation loss misses. :func:`gradient_check` verifies the
 step's analytic gradients against central finite differences.
 
 :func:`train_stack` trains several jobs (one per seed of a sweep) as one
-stack: each numpy call of an SGD step serves every job whose full batches
-line up. :func:`train` is its one-job case, so there is one implementation
-of the loop.
+stack, longest first: each numpy call of an SGD step serves a slot range of
+the jobs with equal batch rows at a batch position. :func:`train` is its
+one-job case, so there is one implementation of the loop.
 
 All math is float64; training is single-threaded and bit-reproducible for
 a fixed :class:`~poolal.core.RandomSource`, stacked or alone.
@@ -26,10 +26,11 @@ step writes into them, or into views of ``G`` and ``P``, so a step allocates
 no buffer. A step's numpy calls cost about 1 µs each, so its Python work
 shows too: the kernel binds its ufuncs and reductions as locals and passes
 ``out`` positionally, ``step`` calls ``forward`` itself, and
-:func:`train_stack` builds its shared batches' ``(X, Y, Xᵀ)`` views once per
-stack shape, not once per step. The softmax and the log-sum-exp reduce over
-the class axis of a C-order class-major copy of the logits, one elementwise
-pass per class; the bias add is made while making that copy.
+:func:`train_stack` builds every ``(step, X, Y, Xᵀ)`` of an epoch once per
+stack shape, on one kernel per ``(lo, hi, rows)``. The softmax and the
+log-sum-exp reduce over the class axis of a C-order class-major copy of the
+logits, one elementwise pass per class; the bias add is made while making
+that copy.
 
 ``tests/oracles.py`` holds the plain row-major formulas (``mean_loss``,
 ``loss_and_gradient``, ``reference_sgd``) that the tests hold the kernel
@@ -45,6 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import groupby
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -313,14 +316,14 @@ def train_stack(
 
     Each epoch, every job's shuffled rows and one-hot labels are gathered
     straight from its split into ``(S, n_max, d)`` and ``(S, n_max, I)``
-    buffers, so a job's rows are held once. The full batches that
-    every job has step as one ``(S, B, ·)`` batch; each job's remaining full
-    batches and its ragged tail then step alone, on a kernel of that batch's
-    shape over the job's row of the stacked parameters. One call of a
-    validation kernel then scores every job. A job that stops early or fails
-    leaves the stack, which re-packs the parameters and rebuilds the shared
-    step and validation kernels and the shared batch views; a failed job's
-    slot holds its error in place of a model.
+    buffers, so a job's rows are held once. The jobs sort longest first
+    (ties keep job order), so at each batch position the jobs with rows
+    there are a prefix; each run of it with equal batch rows ``lo:hi``
+    steps as one batch on a kernel over ``P[lo:hi]``, one kernel per
+    ``(lo, hi, rows)``. One call of a validation kernel then scores every
+    job. A job that stops early or fails leaves the stack, which re-packs
+    the parameters and rebuilds the step list and the validation kernel; a
+    failed job's slot holds its error in place of a model.
     """
     out: list = [None] * len(jobs)
     fits: list[_Fit] = []
@@ -332,41 +335,38 @@ def train_stack(
     if not fits:
         return out
 
+    fits.sort(key=lambda f: -len(f.rows))  # longest first, ties in job order: each batch position's jobs are a prefix
     kind, lr, B = config.kind, config.learning_rate, config.batch_size
     Xv, yv = validation.X, validation.y
     num_classes, feature_dim = fits[0].num_classes, fits[0].split.X.shape[1]
-    n_max = max(len(f.rows) for f in fits)
+    n_max = len(fits[0].rows)
     Xs = np.empty((len(fits), n_max, feature_dim))
     Ys = np.empty((len(fits), n_max, num_classes))
     eye = np.eye(num_classes)
     dims = {"d": feature_dim, "I": num_classes, "H": config.hidden_units}
     P = _pack(kind, [f.params for f in fits])
     G = np.empty_like(P)
-    batches = None  # the shared batches' (X, Y, Xᵀ) views, built with the shared kernels once per stack shape
+    batches = None  # every (step, X, Y, Xᵀ) of an epoch, built with the validation kernel once per stack shape
     done: list[_Fit] = []
 
     for epoch in range(1, config.max_epochs + 1):
         if batches is None:
-            S, shared = len(fits), min(len(f.rows) for f in fits) // B * B
-            shared_step, val_loss = _kernel(kind, P, dims, B, G).step, _kernel(kind, P, dims, len(yv)).loss
-            views = [(Xs[:S, a : a + B], Ys[:S, a : a + B]) for a in range(0, shared, B)]
-            batches = [(X, Y, X.swapaxes(-1, -2)) for X, Y in views]
-            alone_steps = {}  # (stack slot, batch rows) -> kernel on that slot's row of P
+            val_loss, batches = _kernel(kind, P, dims, len(yv)).loss, []
+            step_for = cache(lambda lo, hi, m: _kernel(kind, P[lo:hi], dims, m, G[lo:hi]).step)
+            for a in range(0, len(fits[0].rows), B):
+                lo = 0
+                for m, run in groupby(min(B, len(f.rows) - a) for f in fits if len(f.rows) > a):
+                    hi = lo + len(list(run))
+                    X = Xs[lo:hi, a : a + m]
+                    batches.append((step_for(lo, hi, m), X, Ys[lo:hi, a : a + m], X.swapaxes(-1, -2)))
+                    lo = hi
         for s, f in enumerate(fits):
             n = len(f.rows)
             rows = f.rows[f.gen.permutation(n)]
             np.take(f.split.X, rows, axis=0, out=Xs[s, :n], mode="clip")
             np.take(eye, f.split.y[rows], axis=0, out=Ys[s, :n], mode="clip")
-        for X, Y, Xt in batches:
-            shared_step(X, Y, lr, Xt)
-        for s, f in enumerate(fits):
-            n = len(f.rows)
-            for a in range(shared, n, B):
-                m = min(B, n - a)
-                step = alone_steps.get((s, m))
-                if step is None:
-                    step = alone_steps[s, m] = _kernel(kind, P[s : s + 1], dims, m, G[s : s + 1]).step
-                step(Xs[s : s + 1, a : a + m], Ys[s : s + 1, a : a + m], lr)
+        for step, X, Y, Xt in batches:
+            step(X, Y, lr, Xt)
 
         keep = []
         for s, (f, loss) in enumerate(zip(fits, val_loss(Xv, yv).tolist())):

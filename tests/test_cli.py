@@ -823,6 +823,19 @@ class TestRunVerb:
         assert taken.read_bytes() == b"not a directory\n"
         assert not sweep.called
 
+    def test_an_out_path_under_a_file_is_refused_before_the_sweep(self, run_cfg_file, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        sweep = mock.Mock(return_value=[])
+        monkeypatch.setattr("poolal.cli.run_sweep", sweep)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--config", str(run_cfg_file), "--out", str(taken / "sub")]) == 2
+        err = f"error: output path {taken / 'sub'} is under {taken}, which is not a directory\n"
+        assert capsys.readouterr().err == err
+        assert taken.read_bytes() == b"not a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert not sweep.called
+
 
 class TestReportVerb:
     def test_single_record_std_zero(self, run_cfg_file, tmp_path, capsys):

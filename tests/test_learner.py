@@ -475,12 +475,14 @@ class TestTrainStack:
             {"kind": "mlp", "hidden_units": 6, "learning_rate": 3.0, "batch_size": 16, "max_epochs": 40, "patience": 2, "init_scale": 0.5},
         ],
     )
-    def test_tails_of_one_and_b_minus_1_rows(self, kwargs):
+    @pytest.mark.parametrize("sizes", [((33, 1), (47, 3), (65, 5)), ((33, 1), (47, 3), (47, 4), (65, 5))])
+    def test_tails_of_one_and_b_minus_1_rows(self, kwargs, sizes):
         cfg = LearnerConfig(**kwargs)
         val = noisy_blobs(60, seed=2)
-        # 33 and 47 rows share 2 full batches, then step tails of 1 and 15 rows alone; 65 rows step
-        # 2 more full batches and a 1-row tail alone, on kernels rebuilt as jobs leave the stack.
-        sets = [every_row(noisy_blobs(n, seed=s), 3) for n, s in ((33, 1), (47, 3), (65, 5))]
+        # Given shortest first, the stack sorts them longest first. At row 32 the 65-row job steps a full batch,
+        # the 47-row jobs a 15-row tail (on one slot range when tied) and the 33-row job a 1-row tail; the 65-row
+        # job's 1-row tail follows at row 64. The ranges are rebuilt as jobs leave the stack.
+        sets = [every_row(noisy_blobs(n, seed=s), 3) for n, s in sizes]
         jobs = [(ts, RandomSource(10 + i), None) for i, ts in enumerate(sets)]
 
         stacked = train_stack(cfg, jobs, val)
@@ -488,6 +490,36 @@ class TestTrainStack:
         for a, b in zip(alone, stacked):
             assert_same_model(a, b)
         assert len({m.stopped_epoch for m in alone}) == 3  # each job left the stack at its own epoch
+
+    def test_each_batch_position_steps_as_slot_ranges_of_equal_rows(self, monkeypatch):
+        steps, calls, make_kernel = [], [], learner._kernel  # (S, rows) of each step kernel built, and of each call
+
+        def counting(kind, P, dims, B, G=None):
+            kernel = make_kernel(kind, P, dims, B, G)
+            if G is None:
+                return kernel
+            steps.append((len(P), B))
+
+            def step(X, Y, lr=None, Xt=None):
+                calls.append(X.shape[:2])
+                kernel.step(X, Y, lr, Xt)
+
+            return kernel._replace(step=step)
+
+        cfg = LearnerConfig(batch_size=16, max_epochs=1)
+        val = noisy_blobs(60, seed=2)
+        sets = [every_row(noisy_blobs(n, seed=s), 3) for n, s in ((9, 1), (47, 3), (47, 4), (65, 5))]
+        jobs = [(ts, RandomSource(10 + i), None) for i, ts in enumerate(sets)]
+        alone = [train(cfg, ts, val, rng) for ts, rng, _ in jobs]
+        monkeypatch.setattr(learner, "_kernel", counting)
+        stacked = train_stack(cfg, jobs, val)
+
+        # sorted 65, 47, 47, 9: each position's jobs are a prefix, stepped in runs of equal batch rows
+        assert calls == [(3, 16), (1, 9), (3, 16), (1, 16), (2, 15), (1, 16), (1, 1)]
+        assert sum(S for S, _ in calls) == 12  # one step per 16 rows of each job, or part thereof
+        assert steps == [(3, 16), (1, 9), (1, 16), (2, 15), (1, 1)]  # one kernel per slot range and rows
+        for a, b in zip(alone, stacked):
+            assert_same_model(a, b)
 
     @pytest.mark.parametrize("kind", ["softmax_linear", "mlp"])
     @pytest.mark.parametrize("rows", [1, 15])
