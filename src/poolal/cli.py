@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, required=True, help="experiment config YAML")
         p.add_argument("--seed", type=int, default=None, help="run a single seed instead of the config's list")
         p.add_argument("--seeds", type=str, default=None, help="comma-separated seed list override")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--jobs", type=int, default=1, help="stacks of seeds run at once, one process each")
         p.add_argument("--out", type=Path, default=None, help="override the config's output directory")
         p.add_argument("--save-models", action="store_true", help="also write terminal model checkpoints")
         p.set_defaults(func=cmd_run)

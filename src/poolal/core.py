@@ -1,4 +1,4 @@
-"""Domain types, dataset handling, pool mechanics, and seeded randomness.
+"""Domain types, dataset handling, pool mechanics, seeded randomness, and :func:`fork_map`.
 
 Data is columnar: each :class:`Split` is a read-only ``n x d`` float64
 feature matrix ``X``, int64 labels ``y`` and ``ids``, row ``i`` being one
@@ -11,13 +11,16 @@ determinism guarantees the sweep runner relies on.
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, PoolalError
 
 __all__ = [
     "Split",
@@ -285,3 +288,54 @@ def split_initial(
 def class_balance(ts: TrainingSet) -> np.ndarray:
     """Relative class balance of a non-empty training set: fraction per class, sums to 1."""
     return np.asarray(ts.counts, dtype=float) / ts.size
+
+
+def fork_map(fn: Callable, tasks: Sequence, died: Callable[[Any, str], Exception]) -> list:
+    """``[fn(task) for task in tasks]`` for one or more tasks, each but the last run in a forked child.
+
+    A child shares this process's memory, so no task is pickled; it pickles
+    its result into a pipe and leaves through ``os._exit``, flushing no buffer
+    it inherited. Its ``PoolalError`` is raised here as is, any other failure
+    as a ``ChildProcessError`` with its message, and its end without a result
+    as ``died(task, why)``. A failure here waits for the children, then the
+    first failure in task order is raised; an interrupt kills and reaps them.
+    POSIX only; Python 3.12 and later warn on ``fork`` when BLAS threads are live.
+    """
+    outcomes: list = [None] * len(tasks)  # (True, result) or (False, the exception to raise), in task order
+    children: dict[int, BinaryIO] = {}  # pid -> the read end of its pipe, for each child not yet reaped
+    try:
+        for task in tasks[:-1]:
+            read_end, write_end = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never returns from here
+                try:
+                    try:
+                        reply = pickle.dumps((True, fn(task)))
+                    except Exception as e:
+                        reply = pickle.dumps((False, e if isinstance(e, PoolalError) else ChildProcessError(str(e))))
+                    with os.fdopen(write_end, "wb") as pipe:
+                        pipe.write(reply)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children[pid] = os.fdopen(read_end, "rb")
+        try:
+            outcomes[-1] = (True, fn(tasks[-1]))
+        except Exception as e:
+            outcomes[-1] = (False, e)
+        for i, (pid, pipe) in enumerate(list(children.items())):
+            with pipe:
+                reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            why = f"its process ended with exit code {code} and sent no result"
+            outcomes[i] = pickle.loads(reply) if code == 0 and reply else (False, died(tasks[i], why))
+    finally:
+        for pid, pipe in children.items():  # left only by an interrupt or a failed fork
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]

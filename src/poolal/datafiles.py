@@ -8,10 +8,7 @@ value-identical. The manifest carries class names, feature dimension,
 per-split class counts (checked on load), the generator spec for synthetic
 data, and a digest of the CSV bytes that run records embed and reports compare.
 
-:func:`write_dataset`, which ``poolal generate`` calls, writes ``train.csv``
-in a forked child while it writes ``val.csv`` and ``test.csv``, with the
-bytes one process would write; a failure in either is one error naming the
-path. It needs ``os.fork``, so it runs on POSIX systems only. It also writes
+:func:`write_dataset`, which ``poolal generate`` calls, also writes
 ``columns.bin``: the parsed columns, so that each later ``run`` or ``sweep``
 loads them instead of parsing the CSVs again. It is derived data, safe to
 delete, and no reader writes it. It opens with the SHA-256 of the three CSVs
@@ -37,7 +34,6 @@ import hashlib
 import json
 import math
 import os
-import signal
 from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -47,7 +43,7 @@ import numpy as np
 import yaml
 
 from .config import _decode, canonical_hash, decode, persisted
-from .core import DatasetBundle, Split
+from .core import DatasetBundle, Split, fork_map
 from .engine import RunRecord
 from .errors import ConfigurationError
 from .learner import KINDS, PARAM_AXES, TrainedModel
@@ -135,40 +131,6 @@ def _write_split_csv(path: Path, split: Split, class_names: tuple[str, ...], fea
     with path.open("w", newline="", encoding="utf-8") as f:
         f.write(",".join(["id", "label"] + [f"f{i}" for i in range(feature_dim)]) + "\n")
         f.writelines(",".join(row) + "\n" for row in cells)
-
-
-def _write_split_csvs(out: Path, bundle: DatasetBundle) -> None:
-    """A forked child writes ``train.csv`` while this process writes ``val.csv`` and ``test.csv``.
-
-    A failure in the child is raised here as an ``OSError`` with its message;
-    a failure here kills and reaps the child before it propagates.
-    """
-    (child_split, child_file), *own = SPLIT_FILES
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child leaves through os._exit: it runs no atexit handler and flushes no inherited buffer
-        status = 1
-        try:
-            os.close(read_end)
-            _write_split_csv(out / child_file, getattr(bundle, child_split), bundle.class_names, bundle.feature_dim)
-            status = 0
-        except Exception as e:
-            os.write(write_end, str(e).encode("utf-8", "replace"))
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    with os.fdopen(read_end, "rb") as pipe:
-        try:
-            for split_name, fname in own:
-                _write_split_csv(out / fname, getattr(bundle, split_name), bundle.class_names, bundle.feature_dim)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        message = pipe.read().decode("utf-8")
-    status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        raise OSError(message or f"{out / child_file}: the process writing it ended with wait status {status}")
 
 
 def _read_text(path: Path | str) -> str:
@@ -272,17 +234,15 @@ def _read_columns(path: Path, head: bytes, manifest: Manifest) -> dict[str, tupl
 
 
 def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: GeneratorSpec | None = None) -> str:
-    """Write the three split CSVs, their columns file and the manifest; returns the dataset hash.
-
-    A forked child writes ``train.csv`` while this process writes ``val.csv``
-    and ``test.csv``, with the bytes one process would write; a failure in
-    either raises one error naming the path. It needs ``os.fork``, so it runs
-    on POSIX systems only. Python 3.12 and later warn on ``fork`` when BLAS
-    threads are live, as they do for ``run_sweep``'s fork pool.
-    """
+    """Write the split CSVs (``train.csv`` in a forked child), the columns file and the manifest; returns the hash."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_split_csvs(out, bundle)
+
+    def write_csvs(files: tuple[tuple[str, str], ...]) -> None:
+        for split_name, fname in files:
+            _write_split_csv(out / fname, getattr(bundle, split_name), bundle.class_names, bundle.feature_dim)
+
+    fork_map(write_csvs, [SPLIT_FILES[:1], SPLIT_FILES[1:]], lambda files, why: OSError(f"{out / files[0][1]}: {why}"))
     csv_digest = _csv_digest(out)
     with (out / COLUMNS_FILE).open("wb") as f:  # .npy bytes stamp no time: equal columns, equal bytes
         f.write(_columns_head(csv_digest, bundle.class_names))

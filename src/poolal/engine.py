@@ -7,11 +7,9 @@ are auditable after the fact.
 
 A run is a generator: each round yields its training job (training set,
 random source, warm-start model), is sent the trained model back, and the
-generator returns the :class:`RunRecord`. A sweep runs its seeds against the
-same immutable dataset bundle in lockstep stacks: every round, the models of
-all the stack's live seeds train in one :func:`poolal.learner.train_stack`
-call, while strategies, random streams and records stay per seed. The public
-``run_*`` functions drive a stack of one.
+generator returns the :class:`RunRecord`. :func:`run_sweep` advances a
+sweep's seeds in lockstep stacks, every stack but the last in a forked child;
+the public ``run_*`` functions drive a stack of one.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Generator, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import ClassPools, DatasetBundle, RandomSource, Split, TrainingSet, class_balance, split_initial
+from .core import ClassPools, DatasetBundle, RandomSource, Split, TrainingSet, class_balance, fork_map, split_initial
 from .errors import ConfigurationError, RunError, TrainingError
 from .learner import LearnerConfig, TrainedModel, TrainJob, predict_batch, train_stack
 from .metrics import MetricsReport, confusion, report
@@ -277,9 +275,9 @@ def run_sweep(
     each stack runs in lockstep: its seeds advance round by round and train
     as one stack (:func:`poolal.learner.train_stack`). Strategies, random
     streams and records stay per seed, and seeds share only the immutable
-    bundle, so neither ``jobs`` nor the stacking changes any result. With
-    more than one stack, each runs in its own worker process. ``jobs`` must
-    be at least 1.
+    bundle, so neither ``jobs`` nor the stacking changes any result. Each
+    stack but the last runs in a forked child (:func:`~poolal.core.fork_map`).
+    ``jobs`` must be at least 1.
     """
     if not seeds:
         raise ConfigurationError("seeds must contain at least one seed")
@@ -295,19 +293,5 @@ def run_sweep(
         )
     stacks = np.array_split(np.arange(len(seeds)), min(jobs, len(seeds)))  # the longer stacks first
     tasks = [(bundle, config, [int(seeds[i]) for i in stack], dataset_hash) for stack in stacks]
-    if len(tasks) == 1:
-        return _run_one_star(tasks[0])
-    # imported here: it pulls in multiprocessing, socket and subprocess, which serial commands never use
-    from concurrent.futures import ProcessPoolExecutor
-
-    out = []
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        futures = [pool.submit(_run_one_star, task) for task in tasks]
-        for task, fut in zip(tasks, futures):
-            try:
-                out.extend(fut.result())
-            except RunError:
-                raise
-            except Exception as e:
-                raise RunError(f"seeds {task[2]} failed: {e}") from e
-    return out
+    records = fork_map(_run_one_star, tasks, lambda task, why: RunError(f"seeds {task[2]} failed: {why}"))
+    return [record for stack in records for record in stack]

@@ -25,6 +25,7 @@ from poolal.config import ExperimentConfig
 from poolal.datafiles import (
     COLUMNS_FILE,
     SPLIT_FILES,
+    _write_split_csv,
     load_model,
     load_run_record,
     read_dataset,
@@ -32,6 +33,7 @@ from poolal.datafiles import (
     save_run_record,
     write_dataset,
 )
+from poolal.engine import _run_one_star
 from poolal.errors import ConfigurationError
 from poolal.learner import LearnerConfig
 
@@ -368,6 +370,23 @@ class TestGenerateVerb:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out / 'train.csv'}'\n"
         assert_reaped(forked)
 
+    def test_a_writer_child_that_dies_is_one_error_line_naming_train_csv(self, tmp_path, capsys, monkeypatch, forked):
+        parent = os.getpid()
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return _write_split_csv(*args)
+
+        monkeypatch.setattr("poolal.datafiles._write_split_csv", die_in_child)
+        spec_file = write_yaml(tmp_path / "g.yaml", GEN_SPEC)
+        out = tmp_path / "d"
+        assert main(["generate", "--spec", str(spec_file), "--out", str(out)]) == 2
+        expected = f"error: {out / 'train.csv'}: its process ended with exit code 9 and sent no result\n"
+        assert capsys.readouterr().err == expected
+        assert len(forked) == 1
+        assert_reaped(forked)
+
 
 class TestDatasetRoundTrip:
     def test_read_back_values_identical(self, dataset_dir, tmp_path):
@@ -666,6 +685,25 @@ class TestRunVerb:
             sorted((tmp_path / "seq").glob("run-*.json")), sorted((tmp_path / "par").glob("run-*.json"))
         ):
             assert a.read_bytes() == b.read_bytes()
+
+    def test_a_stack_whose_child_dies_is_one_error_line_naming_its_seeds(
+        self, run_cfg_file, tmp_path, capsys, monkeypatch, forked
+    ):
+        parent = os.getpid()
+
+        def die_in_child(task):
+            if os.getpid() != parent:
+                os._exit(9)
+            return _run_one_star(task)
+
+        monkeypatch.setattr("poolal.engine._run_one_star", die_in_child)
+        argv = ["sweep", "--config", str(run_cfg_file), "--seeds", "0,1,2", "--jobs", "2", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert errors == ["error: seeds [0, 1] failed: its process ended with exit code 9 and sent no result"]
+        assert len(forked) == 1
+        assert_reaped(forked)
+        assert not list((tmp_path / "o").glob("run-*.json"))
 
     def test_invalid_config_exits_2(self, tmp_path, dataset_dir, capsys):
         cfg = dict(RUN_CFG, dataset=str(dataset_dir), sl_fraction=0.5)
@@ -1163,7 +1201,7 @@ class TestCheckpointFile:
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    """Only a sweep with more than one stack needs worker processes; a serial command must not pay their import."""
+    """No command uses the process pool: sweep stacks are forked by hand, so importing the CLI must not pull it in."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     probe = "import sys, poolal.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"

@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import os
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from conftest import make_split, pools_of
+from conftest import assert_reaped, make_split, pools_of
 from poolal.core import (
     DatasetBundle,
     RandomSource,
     Split,
     TrainingSet,
     class_balance,
+    fork_map,
     split_initial,
 )
-from poolal.errors import ConfigurationError
+from poolal.errors import ConfigurationError, RunError
 
 
 def whole(labels, num_classes):
@@ -234,3 +238,110 @@ class TestDatasetBundle:
     def test_line_break_in_a_class_name_rejected(self, name):
         with pytest.raises(ConfigurationError, match=re.escape(f"class name {name!r} holds a line break")):
             DatasetBundle.build([name, "b"], make_split([0], "tr"), make_split([0], "va"), make_split([1], "te"), 2)
+
+
+def died(task, why):
+    return RunError(f"task {task} died: {why}")
+
+
+class TestForkMap:
+    """``fork_map`` runs each task but the last in a forked child and leaves no child behind."""
+
+    def test_results_come_back_in_task_order(self, forked):
+        parent = os.getpid()
+        results = fork_map(lambda task: (task * 10, os.getpid()), [1, 2, 3, 4], died)
+        assert [value for value, _ in results] == [10, 20, 30, 40]
+        assert [pid for _, pid in results] == [*forked, parent]  # each task but the last ran in its own child
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_k_tasks_fork_k_minus_1_children(self, forked, k):
+        assert fork_map(str, list(range(k)), died) == [str(i) for i in range(k)]
+        assert len(forked) == k - 1
+        assert_reaped(forked)
+
+    def test_a_childs_poolal_error_is_raised_as_is(self, forked):
+        def fail_first(task):
+            if task == 0:
+                raise RunError("seed 4 failed: iteration 0: diverged")
+            return task
+
+        with pytest.raises(RunError, match=r"^seed 4 failed: iteration 0: diverged$"):
+            fork_map(fail_first, [0, 1], died)
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_any_other_child_failure_is_a_child_process_error_with_its_message(self, forked):
+        def fail_first(task):
+            if task == 0:
+                raise ValueError("bad value")
+            return task
+
+        with pytest.raises(ChildProcessError, match=r"^bad value$") as caught:
+            fork_map(fail_first, [0, 1], died)
+        assert isinstance(caught.value, OSError)
+        assert_reaped(forked)
+
+    def test_a_result_that_cannot_be_pickled_is_a_child_process_error(self, forked):
+        with pytest.raises(ChildProcessError, match="pickle"):
+            fork_map(lambda task: (lambda: task), [0, 1], died)
+        assert_reaped(forked)
+
+    def test_a_failure_here_is_raised_as_is_after_the_children_finish(self, forked, tmp_path):
+        def fail_last(task):
+            if task == 2:
+                raise KeyError("here")
+            time.sleep(0.2)
+            (tmp_path / f"done-{task}").touch()
+            return task
+
+        with pytest.raises(KeyError, match="here"):
+            fork_map(fail_last, [0, 1, 2], died)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["done-0", "done-1"]  # waited for, not killed
+        assert_reaped(forked)
+
+    def test_the_first_failure_in_task_order_wins(self, forked):
+        def fail(task):
+            if task == 0:
+                time.sleep(0.2)  # fails last in time, first in task order
+            raise RunError(f"task {task} failed")
+
+        with pytest.raises(RunError, match=r"^task 0 failed$"):
+            fork_map(fail, [0, 1, 2], died)
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize(
+        "end, code", [(lambda: os._exit(9), 9), (lambda: os.kill(os.getpid(), 9), -9)], ids=["exit-9", "sigkill"]
+    )
+    def test_a_child_that_ends_without_a_result_is_named_by_died(self, forked, end, code):
+        def end_first(task):
+            if task == 0:
+                end()
+            return task
+
+        with pytest.raises(RunError, match=rf"^task 0 died: its process ended with exit code {code} and sent no result$"):
+            fork_map(end_first, [0, 1], died)
+        assert_reaped(forked)
+
+    def test_an_interrupt_kills_and_reaps_the_children(self, forked):
+        def interrupt_last(task):
+            if task == 2:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            fork_map(interrupt_last, [0, 1, 2], died)
+        assert time.monotonic() - start < 30
+        assert len(forked) == 2
+        assert_reaped(forked)
+
+    def test_buffered_output_is_written_once(self, tmp_path, monkeypatch, forked):
+        """A child leaves through ``os._exit``, which flushes no buffer it inherited."""
+        stdout = (tmp_path / "stdout.txt").open("w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("buffered on stdout")
+        assert fork_map(str, [0, 1, 2], died) == ["0", "1", "2"]
+        stdout.close()
+        assert (tmp_path / "stdout.txt").read_text(encoding="utf-8") == "buffered on stdout\n"
+        assert_reaped(forked)

@@ -5,7 +5,7 @@ import pytest
 
 from dataclasses import asdict, replace
 
-from conftest import make_split, record_payload
+from conftest import assert_reaped, make_split, record_payload
 from poolal import engine
 from poolal.config import ExperimentConfig, decode
 from poolal.core import ClassPools, RandomSource, split_initial
@@ -381,6 +381,13 @@ class TestSweep:
         agg = aggregate_records([replace(r, seed=s) for r, s in zip(records, (5, 6, 7))])
         assert agg.macro_f1.std == 0.0
         assert agg.micro_f1.std == 0.0
+
+    def test_three_jobs_fork_two_children_and_reap_them(self, forked):
+        """The main process runs the last of the three stacks itself."""
+        records = run_sweep(small_bundle(), al_config(), [0, 1, 2, 3, 4], dataset_hash="h", jobs=3)
+        assert [r.seed for r in records] == [0, 1, 2, 3, 4]
+        assert len(forked) == 2
+        assert_reaped(forked)
 
     def test_parallel_equals_sequential(self):
         bundle = small_bundle()

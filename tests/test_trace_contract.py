@@ -32,7 +32,7 @@ def test_every_traced_attribute_exists():
 
 
 # ``perfbench/run.py --trace 1`` also calls the program outside the tracer: ``task_payload``
-# decodes a config and unpacks ``read_dataset`` to size the task a --jobs 2 sweep pickles.
+# decodes a config and unpacks ``read_dataset`` to size a pickled sweep task; forked stacks send none.
 TASK_PAYLOAD = """
 import json, sys
 from pathlib import Path
