@@ -3,10 +3,10 @@
 Verbs:
 
 * ``generate`` -- write a synthetic dataset (built-in preset or a spec file).
-* ``run``      -- execute an experiment config over its seeds; writes one run
-  record JSON and one trajectory CSV per seed plus the aggregate table.
-* ``sweep``    -- same as ``run`` with seed list / parallelism overrides; the
-  canonical verb for multi-seed mean(std) reporting.
+* ``run``      -- execute an experiment config over its seeds, or over the
+  ``--seeds`` list, in ``--jobs`` stacks; writes one run record JSON and one
+  trajectory CSV per seed plus the aggregate table. ``sweep`` is another
+  name for it.
 * ``report``   -- re-aggregate previously written run records into tables.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/configuration error.
@@ -52,18 +52,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", type=Path, required=True, help="output directory")
     gen.set_defaults(func=cmd_generate)
 
-    for verb, help_text in (
-        ("run", "execute the experiment config over its seeds"),
-        ("sweep", "execute the config over a seed list, optionally in parallel"),
-    ):
-        p = sub.add_parser(verb, help=help_text)
-        p.add_argument("--config", type=Path, required=True, help="experiment config YAML")
-        p.add_argument("--seed", type=int, default=None, help="run a single seed instead of the config's list")
-        p.add_argument("--seeds", type=str, default=None, help="comma-separated seed list override")
-        p.add_argument("--jobs", type=int, default=1, help="stacks of seeds run at once, one process each")
-        p.add_argument("--out", type=Path, default=None, help="override the config's output directory")
-        p.add_argument("--save-models", action="store_true", help="also write terminal model checkpoints")
-        p.set_defaults(func=cmd_run)
+    run = sub.add_parser("run", aliases=["sweep"], help="execute the experiment config over its seeds")
+    run.add_argument("--config", type=Path, required=True, help="experiment config YAML")
+    # ``--seed N`` still parses: argparse takes it as the unambiguous prefix of ``--seeds``
+    run.add_argument("--seeds", type=str, default=None, help="comma-separated seed list override")
+    run.add_argument("--jobs", type=int, default=1, help="stacks of seeds run at once, one process each")
+    run.add_argument("--out", type=Path, default=None, help="override the config's output directory")
+    run.add_argument("--save-models", action="store_true", help="also write terminal model checkpoints")
+    run.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("report", help="aggregate run record files into tables")
     rep.add_argument("records", nargs="+", type=Path, help="run record JSON files")
@@ -90,16 +86,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _parse_seed_override(args: argparse.Namespace, config: ExperimentConfig) -> list[int]:
-    if args.seed is not None and args.seeds is not None:
-        raise ConfigurationError("give either --seed or --seeds, not both")
-    if args.seed is not None:
-        return [args.seed]
-    if args.seeds is not None:
-        try:
-            return [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-        except ValueError:
-            raise ConfigurationError(f"bad --seeds list {args.seeds!r}") from None
-    return list(config.seeds)
+    if args.seeds is None:
+        return list(config.seeds)
+    try:
+        return [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    except ValueError:
+        raise ConfigurationError(f"bad --seeds list {args.seeds!r}") from None
 
 
 def cmd_run(args: argparse.Namespace) -> int:

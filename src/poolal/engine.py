@@ -9,7 +9,7 @@ A run is a generator: each round yields its training job (training set,
 random source, warm-start model), is sent the trained model back, and the
 generator returns the :class:`RunRecord`. :func:`run_sweep` advances a
 sweep's seeds in lockstep stacks, every stack but the last in a forked child;
-the public ``run_*`` functions drive a stack of one.
+the other public ``run_*`` functions are sweeps of one seed.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "RunRecord",
     "evaluate_model",
     "run_active_learning",
+    "run_one",
     "run_supervised",
     "run_sweep",
 ]
@@ -244,18 +245,18 @@ def run_supervised(bundle: DatasetBundle, config: ExperimentConfig, seed: int, d
 
 
 def run_one(bundle: DatasetBundle, config: ExperimentConfig, seed: int, dataset_hash: str = "") -> RunRecord:
-    """Run a single seed of the configured arm as a stack of one; its failure is raised as is."""
-    (result,) = _run_stack(config.learner, bundle.validation, [_rounds(bundle, config, seed, dataset_hash)])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    """Run a single seed of the configured arm: a sweep of one seed, with its checks and its RunError."""
+    return run_sweep(bundle, config, [seed], dataset_hash)[0]
 
 
 def _run_one_star(args: tuple[DatasetBundle, ExperimentConfig, Sequence[int], str]) -> list[RunRecord]:
-    """Run a stack of seeds in lockstep; a failing seed raises a RunError that names it."""
+    """Run a stack of seeds in lockstep; a failing seed, or a fault of the stack itself, raises a RunError naming it."""
     bundle, config, seeds, dataset_hash = args
     runs = [_rounds(bundle, config, seed, dataset_hash) for seed in seeds]
-    results = _run_stack(config.learner, bundle.validation, runs)
+    try:
+        results = _run_stack(config.learner, bundle.validation, runs)
+    except Exception as e:  # raised by the stack's training, outside any one run, such as a MemoryError
+        raise RunError(f"seeds {seeds} failed: {type(e).__name__}: {e}") from e
     for seed, result in zip(seeds, results):
         if isinstance(result, Exception):
             raise RunError(f"seed {seed} failed: {result}") from result

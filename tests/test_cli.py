@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from conftest import assert_reaped
 from oracles import reference_read_split_csv
 from test_golden import ARMS
-from poolal.cli import main
-from poolal.config import ExperimentConfig
+from poolal.cli import build_parser, main
+from poolal.config import ExperimentConfig, decode
+from poolal.core import RandomSource, TrainingSet
 from poolal.datafiles import (
     COLUMNS_FILE,
     SPLIT_FILES,
@@ -33,9 +34,9 @@ from poolal.datafiles import (
     save_run_record,
     write_dataset,
 )
-from poolal.engine import _run_one_star
+from poolal.engine import _run_one_star, run_one
 from poolal.errors import ConfigurationError
-from poolal.learner import LearnerConfig
+from poolal.learner import LearnerConfig, train
 
 GEN_SPEC = {
     "num_classes": 3,
@@ -325,6 +326,12 @@ class TestGenerateVerb:
             (lambda d: d.update(per_class_train_counts=[5.5, 5, 5]), "per_class_train_counts[0] must be an integer"),
             (lambda d: d.update(overlap_pairs=[[2, 1]]), "overlap_pairs[0] must have 3 entries, got 2"),
             (lambda d: d.update(seed=-1), "seed must be >= 0, got -1"),
+            (lambda d: d.update(num_classes=1), "need at least 2 classes, got 1"),
+            (lambda d: d.update(feature_dim=0), "feature_dim must be >= 1, got 0"),
+            (lambda d: d.update(class_sigmas=[1.0, 1.0]), "class_sigmas must have 3 entries"),
+            (lambda d: d.update(class_names=["a", "b"]), "class_names must have 3 entries"),
+            (lambda d: d.update(class_means=[[0.0] * 4] * 2), "class_means must be 3 x 4"),
+            (lambda d: d.update(overlap_pairs=[[5, 1, 0.3]]), "overlap pair (5, 1) references unknown classes"),
         ],
     )
     def test_malformed_spec_exits_2_naming_the_field(self, tmp_path, capsys, edit, message):
@@ -433,6 +440,10 @@ class TestIngestFaults:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert expected in err
+
+    def test_missing_split_file_is_named(self, run_cfg_file, dataset_dir, capsys):
+        (dataset_dir / "val.csv").unlink()
+        self._run_fails(run_cfg_file, capsys, f"missing split file {dataset_dir / 'val.csv'}")
 
     def test_non_numeric_cell_names_path_and_line(self, run_cfg_file, dataset_dir, capsys):
         path = dataset_dir / "train.csv"
@@ -661,6 +672,12 @@ class TestRunVerb:
         records = list((tmp_path / "out").glob("run-*seed7.json"))
         assert len(records) == 1
 
+    def test_sweep_and_seed_are_other_names_for_run_and_seeds(self):
+        parse = build_parser().parse_args
+        run = parse(["run", "--config", "c.yaml", "--seeds", "7", "--jobs", "2"])
+        sweep = parse(["sweep", "--config", "c.yaml", "--seed", "7", "--jobs", "2"])
+        assert vars(sweep) == dict(vars(run), command="sweep")
+
     def test_save_models_round_trip(self, run_cfg_file, tmp_path):
         assert main(["run", "--config", str(run_cfg_file), "--seed", "0", "--save-models"]) == 0
         model_files = list((tmp_path / "out").glob("model-*seed0.json"))
@@ -668,6 +685,31 @@ class TestRunVerb:
         model = load_model(model_files[0])
         assert model.kind == "softmax_linear"
         assert model.params["W"].shape == (4, 3)
+
+    def test_a_checkpoint_fine_tunes_as_the_terminal_model_does(self, tmp_path, dataset_dir):
+        mlp = dict(RUN_CFG["learner"], kind="mlp", hidden_units=4, warm_start=True)
+        cfg = dict(RUN_CFG, dataset=str(dataset_dir), learner=mlp, output_dir=str(tmp_path / "out"))
+        assert main(["run", "--config", str(write_yaml(tmp_path / "cfg.yaml", cfg)), "--seed", "0", "--save-models"]) == 0
+        checkpoint = load_model(next((tmp_path / "out").glob("model-*seed0.json")))
+
+        bundle, dataset_hash, _ = read_dataset(dataset_dir)
+        config = ExperimentConfig.from_dict(cfg)
+        record = run_one(bundle, config, 0, dataset_hash)
+        everything = TrainingSet.from_rows(bundle.train, np.arange(len(bundle.train)), bundle.num_classes)
+
+        def fine_tune(learner, initial):
+            return train(learner, everything, bundle.validation, RandomSource(3), initial=initial)
+
+        tuned, reference = fine_tune(config.learner, checkpoint), fine_tune(config.learner, record.terminal_model)
+        assert (tuned.best_epoch, tuned.stopped_epoch) == (reference.best_epoch, reference.stopped_epoch)
+        assert sorted(tuned.params) == sorted(reference.params)
+        for name, value in tuned.params.items():
+            assert value.tobytes() == reference.params[name].tobytes(), name
+
+        with pytest.raises(ConfigurationError, match=r"^warm-start model kind 'mlp' does not match config 'softmax_linear'$"):
+            fine_tune(decode(LearnerConfig, RUN_CFG["learner"], "learner"), checkpoint)
+        with pytest.raises(ConfigurationError, match=r"^warm-start model has 4 hidden units, config wants 5$"):
+            fine_tune(decode(LearnerConfig, dict(mlp, hidden_units=5), "learner"), checkpoint)
 
     def test_byte_identical_reruns(self, run_cfg_file, tmp_path):
         main(["run", "--config", str(run_cfg_file), "--out", str(tmp_path / "o1")])
@@ -704,6 +746,24 @@ class TestRunVerb:
         assert len(forked) == 1
         assert_reaped(forked)
         assert not list((tmp_path / "o").glob("run-*.json"))
+
+    @pytest.mark.parametrize("jobs, named", [("1", "[0, 1]"), ("2", "[0]")])
+    def test_a_stack_fault_exits_1_naming_the_stack_seeds(
+        self, run_cfg_file, tmp_path, capsys, monkeypatch, forked, jobs, named
+    ):
+        """A fault of the stack's training, outside any one seed's run, is a runtime failure at every ``--jobs``."""
+
+        def out_of_memory(*args):
+            raise MemoryError("cannot allocate the stack's rows")
+
+        monkeypatch.setattr("poolal.engine.train_stack", out_of_memory)
+        argv = ["sweep", "--config", str(run_cfg_file), "--seeds", "0,1", "--jobs", jobs, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: seeds {named} failed: MemoryError: cannot allocate the stack's rows"]
+        assert len(forked) == int(jobs) - 1
+        assert_reaped(forked)
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_config_exits_2(self, tmp_path, dataset_dir, capsys):
         cfg = dict(RUN_CFG, dataset=str(dataset_dir), sl_fraction=0.5)
@@ -770,6 +830,25 @@ class TestRunVerb:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
         assert message in err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "expected a mapping at top level"),
+            ({"arm": "sl", "sl_fraction": 0.5}, "dataset source is required"),
+            pytest.param(
+                dict(RUN_CFG, dataset="data", strategy="entropy_topk", budget=0, candidate_count=0, select_count=1),
+                "entropy_topk counts must be >= 1",
+                id="entropy_topk-no-candidates",
+            ),
+        ],
+    )
+    def test_refused_config_is_one_error_line_naming_it(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(payload), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
 
@@ -804,9 +883,6 @@ class TestRunVerb:
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
         assert errors == [f"error: {message}"]
         assert not list((tmp_path / "o").glob("run-*.json"))
-
-    def test_both_seed_flags_rejected(self, run_cfg_file, capsys):
-        assert main(["run", "--config", str(run_cfg_file), "--seed", "1", "--seeds", "1,2"]) == 2
 
     def test_seeds_flag_overrides_the_config(self, tmp_path, dataset_dir):
         cfg = dict(RUN_CFG, dataset=str(dataset_dir), seeds=[5], output_dir=str(tmp_path / "o"))
@@ -949,6 +1025,18 @@ class TestReportVerb:
         clone.write_text(json.dumps(payload))
         assert main(["report", str(record_path), str(clone)]) == 2
         assert "mismatched datasets" in capsys.readouterr().err
+
+    def test_records_with_other_class_names_refused(self, run_cfg_file, tmp_path, capsys):
+        main(["run", "--config", str(run_cfg_file), "--seeds", "0"])
+        record_path = next((tmp_path / "out").glob("run-*.json"))
+        payload = json.loads(record_path.read_text())
+        payload.update(seed=1, class_names=["x", "y", "z"])
+        clone = tmp_path / "clone.json"
+        clone.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["report", str(record_path), str(clone), "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == "error: run records disagree on class names\n"
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("copy", [False, True], ids=["same-file", "copied-file"])
     def test_repeated_seed_exits_2(self, run_cfg_file, tmp_path, capsys, copy):

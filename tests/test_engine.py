@@ -347,6 +347,12 @@ class TestSupervised:
         with pytest.raises(ConfigurationError, match="run_active_learning needs an 'al' config"):
             run_active_learning(bundle, self.sl_config(0.5), seed=0)
 
+    def test_a_fraction_that_keeps_no_row_is_refused_before_any_round(self):
+        bundle = small_bundle(train_counts=(40, 40, 40))
+        message = r"^sl_fraction must select at least one of the 120 train rows, got 0\.001$"
+        with pytest.raises(ConfigurationError, match=message):
+            run_supervised(bundle, self.sl_config(0.001), seed=0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_supervised_seed_names_its_round(self):
         bundle = small_bundle(train_counts=(5, 5), overlap=())
@@ -452,6 +458,8 @@ class TestSweep:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seeds must be >= 0, got -1"):
             run_sweep(small_bundle(), al_config(), [0, -1])
+        with pytest.raises(ConfigurationError, match=r"^seeds must be >= 0, got -1$"):
+            run_one(small_bundle(), al_config(), seed=-1)
 
 
 class TestRunRecordRoundTrip:
