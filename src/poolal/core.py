@@ -295,10 +295,10 @@ def fork_map(fn: Callable, tasks: Sequence, died: Callable[[Any, str], Exception
 
     A child shares this process's memory, so no task is pickled; it pickles
     its result into a pipe and leaves through ``os._exit``, flushing no buffer
-    it inherited. Its ``PoolalError`` is raised here as is, any other failure
-    as a ``ChildProcessError`` with its message, and its end without a result
-    as ``died(task, why)``. A failure here waits for the children, then the
-    first failure in task order is raised; an interrupt kills and reaps them.
+    it inherited. Its ``PoolalError`` is raised here as is, an ``OSError`` as a
+    ``ChildProcessError`` and any other failure as a ``RuntimeError``, and its
+    end without a result as ``died(task, why)``. The first failure in task
+    order is raised once every child is reaped; an interrupt kills them first.
     POSIX only; Python 3.12 and later warn on ``fork`` when BLAS threads are live.
     """
     outcomes: list = [None] * len(tasks)  # (True, result) or (False, the exception to raise), in task order
@@ -310,8 +310,12 @@ def fork_map(fn: Callable, tasks: Sequence, died: Callable[[Any, str], Exception
                 try:
                     try:
                         reply = pickle.dumps((True, fn(task)))
-                    except Exception as e:
-                        reply = pickle.dumps((False, e if isinstance(e, PoolalError) else ChildProcessError(str(e))))
+                    except PoolalError as e:
+                        reply = pickle.dumps((False, e))
+                    except OSError as e:
+                        reply = pickle.dumps((False, ChildProcessError(str(e))))
+                    except Exception as e:  # a fault, an unpicklable result among them: exit 1, as in this process
+                        reply = pickle.dumps((False, RuntimeError(f"{type(e).__name__}: {e}")))
                     with os.fdopen(write_end, "wb") as pipe:
                         pipe.write(reply)
                     os._exit(0)

@@ -37,7 +37,7 @@ import os
 from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 import yaml
@@ -133,18 +133,20 @@ def _write_split_csv(path: Path, split: Split, class_names: tuple[str, ...], fea
         f.writelines(",".join(row) + "\n" for row in cells)
 
 
-def _read_text(path: Path | str) -> str:
-    """The text of file ``path``, which must be UTF-8; the error names the path."""
+def _parse_text(path: Path | str, parse: Callable[[str], Any]) -> Any:
+    """``parse`` of the text of file ``path``, which must be UTF-8 and not nest past the recursion limit."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as e:
         raise ConfigurationError(f"{path}: not UTF-8 text: {e}") from None
+    except RecursionError:  # a YAML or JSON value nested thousands deep
+        raise ConfigurationError(f"{path}: nested too deeply to read") from None
 
 
 def load_yaml(path: Path) -> dict:
     """The mapping in YAML file ``path``; a YAML error is one line naming the path, and its line and column."""
     try:
-        raw = yaml.safe_load(_read_text(path))
+        raw = _parse_text(path, yaml.safe_load)
     except yaml.MarkedYAMLError as e:
         mark = e.problem_mark
         raise ConfigurationError(f"{path}:{mark.line + 1}:{mark.column + 1}: bad YAML: {e.problem}") from None
@@ -158,7 +160,7 @@ def load_yaml(path: Path) -> dict:
 def _read_json(cls: type, path: Path | str, what: str) -> Any:
     """The schema v1 ``what`` in JSON file ``path``, decoded as dataclass ``cls``; errors name the path."""
     try:
-        payload = json.loads(_read_text(path))
+        payload = _parse_text(path, json.loads)
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"{path}: not valid JSON: {e}") from None
     if isinstance(payload, dict) and payload.get("schema_version") != 1:
@@ -292,6 +294,8 @@ def _read_split_csv(path: Path, name_to_index: dict[str, int], feature_dim: int)
                 labels.append(label)
     except UnicodeDecodeError as e:
         raise ConfigurationError(f"{path}: not UTF-8 text: {e}") from None
+    except csv.Error as e:  # such as a field over csv's size limit
+        raise ConfigurationError(f"{path}:{reader.line_num}: {e}") from None
     return np.frombuffer(features, dtype=np.float64).reshape(len(ids), feature_dim), labels, ids
 
 

@@ -5,8 +5,7 @@ model and a one-hidden-layer tanh MLP, both trained with mini-batch SGD on
 mean cross-entropy and patience-based early stopping. An SGD step is
 gradient-only; the loss is computed on the validation set once per epoch,
 for early stopping, and on the training rows once per fit, to catch a
-divergence the validation loss misses. :func:`gradient_check` verifies the
-step's analytic gradients against central finite differences.
+divergence the validation loss misses.
 
 :func:`train_stack` trains several jobs (one per seed of a sweep) as one
 stack, longest first: each numpy call of an SGD step serves a slot range of
@@ -17,20 +16,19 @@ All math is float64; training is single-threaded and bit-reproducible for
 a fixed :class:`~poolal.core.RandomSource`, stacked or alone.
 
 Every forward pass runs in one kernel (:func:`_kernel`): the SGD step, the
-per-epoch validation loss, the final training-loss check, the predictions
-and :func:`gradient_check`. A stack keeps its parameters in one flat
-float64 buffer ``P`` of shape ``(S, p)`` and its gradients in ``G``; each
-parameter is a view of ``P`` in ``PARAM_AXES`` order. A kernel is built for
-one ``(S, B)`` shape and allocates its buffers once; every numpy call of a
-step writes into them, or into views of ``G`` and ``P``, so a step allocates
-no buffer. A step's numpy calls cost about 1 µs each, so its Python work
-shows too: the kernel binds its ufuncs and reductions as locals and passes
-``out`` positionally, ``step`` calls ``forward`` itself, and
-:func:`train_stack` builds every ``(step, X, Y, Xᵀ)`` of an epoch once per
-stack shape, on one kernel per ``(lo, hi, rows)``. The softmax and the
-log-sum-exp reduce over the class axis of a C-order class-major copy of the
-logits, one elementwise pass per class; the bias add is made while making
-that copy.
+per-epoch validation loss, the final training-loss check and the
+predictions. A stack keeps its parameters in one flat float64 buffer ``P``
+of shape ``(S, p)`` and its gradients in ``G``; each parameter is a view of
+``P`` in ``PARAM_AXES`` order. A kernel is built for one ``(S, B)`` shape
+and allocates its buffers once; every numpy call of a step writes into them,
+or into views of ``G`` and ``P``, so a step allocates no buffer. A step's
+numpy calls cost about 1 µs each, so its Python work shows too: the kernel
+binds its ufuncs and reductions as locals and passes ``out`` positionally,
+``step`` calls ``forward`` itself, and :func:`train_stack` builds every
+``(step, X, Y, Xᵀ)`` of an epoch once per stack shape, on one kernel per
+``(lo, hi, rows)``. The softmax and the log-sum-exp reduce over the class
+axis of a C-order class-major copy of the logits, one elementwise pass per
+class; the bias add is made while making that copy.
 
 ``tests/oracles.py`` holds the plain row-major formulas (``mean_loss``,
 ``loss_and_gradient``, ``reference_sgd``) that the tests hold the kernel
@@ -63,7 +61,6 @@ __all__ = [
     "train_stack",
     "predict_proba",
     "predict_batch",
-    "gradient_check",
     "samples_to_arrays",
 ]
 
@@ -450,42 +447,3 @@ def predict_batch(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Predicted class indices for a feature matrix; ties go to the lowest index."""
     X = _check_features(model, np.atleast_2d(np.asarray(X, dtype=float)))
     return np.argmax(_proba(model, X), axis=1)
-
-
-def gradient_check(
-    config: LearnerConfig,
-    batch: Split,
-    rng: RandomSource,
-    num_classes: int | None = None,
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-finite-difference gradients.
-
-    Evaluates the mean cross-entropy gradient at a random parameter point
-    drawn from ``rng`` and perturbs every parameter by ``±step``.
-    """
-    if not len(batch):
-        raise ConfigurationError("gradient check needs a non-empty batch")
-    X, y = batch.X, batch.y
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
-
-    gen = rng.generator()
-    p = sum(v.size for v in _init_params(config, X.shape[1], num_classes, gen).values())
-    P = gen.uniform(-0.5, 0.5, (1, p))  # after a fresh init's draws, every parameter in PARAM_AXES order
-    G = np.empty_like(P)
-    dims = {"d": X.shape[1], "I": num_classes, "H": config.hidden_units}
-    kernel = _kernel(config.kind, P, dims, len(y), G)
-    kernel.step(X[None], np.eye(num_classes)[y][None])
-
-    max_rel = 0.0
-    for i, an in enumerate(G[0].tolist()):
-        orig = P[0, i]
-        P[0, i] = orig + step
-        up = kernel.loss(X, y)[0]
-        P[0, i] = orig - step
-        down = kernel.loss(X, y)[0]
-        P[0, i] = orig
-        fd = (up - down) / (2.0 * step)
-        max_rel = max(max_rel, abs(fd - an) / max(abs(fd), abs(an), 1e-8))
-    return max_rel

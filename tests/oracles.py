@@ -2,7 +2,10 @@
 
 Everything here is written from first principles (loops and explicit
 tallies, no shared code paths with the package) so a bug in the library
-cannot hide in its own verification.
+cannot hide in its own verification. One helper is the exception by design:
+:func:`gradient_check` drives the package's own ``_kernel``, since what it
+checks is that kernel's analytic gradients, against central finite
+differences of that kernel's loss.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ import csv
 import math
 
 import numpy as np
+
+from poolal.core import RandomSource, Split
+from poolal.errors import ConfigurationError
+from poolal.learner import LearnerConfig, _init_params, _kernel
 
 
 def brute_force_allocation(fnr: list[float], budget: int) -> list[int]:
@@ -133,6 +140,45 @@ def reference_sgd(kind, X, y, Xv, yv, gen, *, learning_rate, batch_size, max_epo
             if bad_epochs >= patience:
                 break
     return best_params, log, best_epoch, len(log)
+
+
+def gradient_check(
+    config: LearnerConfig,
+    batch: Split,
+    rng: RandomSource,
+    num_classes: int | None = None,
+    step: float = 1e-5,
+) -> float:
+    """Max relative error between analytic and central-finite-difference gradients.
+
+    Evaluates the mean cross-entropy gradient at a random parameter point
+    drawn from ``rng`` and perturbs every parameter by ``±step``.
+    """
+    if not len(batch):
+        raise ConfigurationError("gradient check needs a non-empty batch")
+    X, y = batch.X, batch.y
+    if num_classes is None:
+        num_classes = int(y.max()) + 1
+
+    gen = rng.generator()
+    p = sum(v.size for v in _init_params(config, X.shape[1], num_classes, gen).values())
+    P = gen.uniform(-0.5, 0.5, (1, p))  # after a fresh init's draws, every parameter in PARAM_AXES order
+    G = np.empty_like(P)
+    dims = {"d": X.shape[1], "I": num_classes, "H": config.hidden_units}
+    kernel = _kernel(config.kind, P, dims, len(y), G)
+    kernel.step(X[None], np.eye(num_classes)[y][None])
+
+    max_rel = 0.0
+    for i, an in enumerate(G[0].tolist()):
+        orig = P[0, i]
+        P[0, i] = orig + step
+        up = kernel.loss(X, y)[0]
+        P[0, i] = orig - step
+        down = kernel.loss(X, y)[0]
+        P[0, i] = orig
+        fd = (up - down) / (2.0 * step)
+        max_rel = max(max_rel, abs(fd - an) / max(abs(fd), abs(an), 1e-8))
+    return max_rel
 
 
 def reference_entropy_topk(entropies, ids, k):

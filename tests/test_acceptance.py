@@ -18,12 +18,12 @@ import pytest
 import yaml
 
 from conftest import make_split
-from oracles import brute_force_allocation, brute_force_metrics
+from oracles import brute_force_allocation, brute_force_metrics, gradient_check
 from poolal.cli import main
 from poolal.config import ExperimentConfig
 from poolal.core import ClassPools, RandomSource, Split
 from poolal.engine import run_active_learning, run_sweep
-from poolal.learner import LearnerConfig, gradient_check, predict_proba
+from poolal.learner import LearnerConfig, predict_proba
 from poolal.metrics import confusion, report
 from poolal.strategy import allocate_fnr, entropy_of, select_entropy_topk
 from poolal.synthgen import GeneratorSpec, generate, tissue_benchmark_preset

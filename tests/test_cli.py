@@ -394,6 +394,28 @@ class TestGenerateVerb:
         assert len(forked) == 1
         assert_reaped(forked)
 
+    @pytest.mark.parametrize(
+        "fname, raised, message",
+        [("train.csv", RuntimeError, "^MemoryError: probe$"), ("val.csv", MemoryError, "^probe$")],
+        ids=["in-the-child", "here"],
+    )
+    def test_a_writer_fault_exits_1_in_the_child_as_here(
+        self, tmp_path, capsys, monkeypatch, forked, fname, raised, message
+    ):
+        """A fault that is no usage error is let out of ``main`` (exit 1), in the ``train.csv`` child as here."""
+
+        def fail_on(path, *args):
+            if path.name == fname:
+                raise MemoryError("probe")
+            return _write_split_csv(path, *args)
+
+        monkeypatch.setattr("poolal.datafiles._write_split_csv", fail_on)
+        spec_file = write_yaml(tmp_path / "g.yaml", GEN_SPEC)
+        with pytest.raises(raised, match=message):
+            main(["generate", "--spec", str(spec_file), "--out", str(tmp_path / "d")])
+        assert "error:" not in capsys.readouterr().err
+        assert_reaped(forked)
+
 
 class TestDatasetRoundTrip:
     def test_read_back_values_identical(self, dataset_dir, tmp_path):
@@ -462,6 +484,13 @@ class TestIngestFaults:
         for row in (text.index(b"train-000003"), last_row):  # the byte on line 4, then on the last line
             path.write_bytes(text[: row + 6] + b"\xff" + text[row + 7 :])
             self._run_fails(run_cfg_file, capsys, f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
+
+    def test_a_field_over_the_csv_size_limit_names_path_and_line(self, run_cfg_file, dataset_dir, capsys):
+        path = dataset_dir / "train.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "x" * 200_000 + lines[3]  # over csv's 131,072-character field limit; no columns.bin matches
+        path.write_text("".join(lines))
+        self._run_fails(run_cfg_file, capsys, f"{path}:4: field larger than field limit (131072)")
 
     def test_malformed_manifest_json(self, run_cfg_file, dataset_dir, capsys):
         (dataset_dir / "manifest.json").write_text("{not json")
@@ -1066,7 +1095,7 @@ class TestReportVerb:
 
 
 class TestTextInputs:
-    """A text file that is not UTF-8, or YAML that does not parse, exits 2 with one ``error:`` line naming it."""
+    """A text file that is not UTF-8, or YAML or JSON that does not parse, exits 2 with one ``error:`` line naming it."""
 
     @pytest.mark.parametrize("verb", ["run", "generate"])
     @pytest.mark.parametrize(
@@ -1086,6 +1115,9 @@ class TestTextInputs:
                 ": bad YAML: unacceptable character #x0007: special characters are not allowed at position 11",
                 id="control-character",
             ),
+            pytest.param(
+                b"seeds: " + b"[" * 100_000 + b"]" * 100_000 + b"\n", ": nested too deeply to read", id="nested-too-deeply"
+            ),
         ],
     )
     def test_yaml_file(self, tmp_path, capsys, verb, content, message):
@@ -1095,6 +1127,12 @@ class TestTextInputs:
         extra = [] if verb == "run" else ["--out", str(tmp_path / "d")]
         assert main([verb, flag, str(path), *extra]) == 2
         assert capsys.readouterr().err == f"error: {path}{message}\n"
+
+    def test_json_record_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: nested too deeply to read\n"
 
     def test_manifest_not_utf8(self, run_cfg_file, dataset_dir, capsys):
         path = dataset_dir / "manifest.json"

@@ -271,19 +271,29 @@ class TestForkMap:
         assert len(forked) == 1
         assert_reaped(forked)
 
-    def test_any_other_child_failure_is_a_child_process_error_with_its_message(self, forked):
+    def test_a_childs_os_error_is_a_child_process_error_with_its_message(self, forked):
+        def fail_first(task):
+            if task == 0:
+                raise FileNotFoundError(2, "No such file or directory", "x.csv")
+            return task
+
+        with pytest.raises(ChildProcessError, match=r"^\[Errno 2\] No such file or directory: 'x.csv'$"):
+            fork_map(fail_first, [0, 1], died)
+        assert_reaped(forked)
+
+    def test_any_other_child_failure_is_a_runtime_error_naming_its_type(self, forked):
         def fail_first(task):
             if task == 0:
                 raise ValueError("bad value")
             return task
 
-        with pytest.raises(ChildProcessError, match=r"^bad value$") as caught:
+        with pytest.raises(RuntimeError, match=r"^ValueError: bad value$") as caught:
             fork_map(fail_first, [0, 1], died)
-        assert isinstance(caught.value, OSError)
+        assert not isinstance(caught.value, OSError)  # a fault, not a usage error: the CLI lets it out, exit 1
         assert_reaped(forked)
 
-    def test_a_result_that_cannot_be_pickled_is_a_child_process_error(self, forked):
-        with pytest.raises(ChildProcessError, match="pickle"):
+    def test_a_result_that_cannot_be_pickled_is_a_runtime_error(self, forked):
+        with pytest.raises(RuntimeError, match="pickle"):
             fork_map(lambda task: (lambda: task), [0, 1], died)
         assert_reaped(forked)
 

@@ -322,7 +322,7 @@ class TestTwoProcessWrite:
             return _write_split_csv(*args)
 
         with mock.patch("poolal.datafiles._write_split_csv", side_effect=fail_in_child):
-            with pytest.raises(OSError, match="^train rows failed$"):
+            with pytest.raises(RuntimeError, match="^RuntimeError: train rows failed$"):
                 write_dataset(small_bundle(), tmp_path)
         assert len(forked) == 1
         assert_reaped(forked)

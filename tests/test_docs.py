@@ -1,11 +1,12 @@
-"""README's commands and config example stay true to the parser and the config decoder.
+"""README's commands, config example and Python names stay true to the program.
 
-A flag, verb or config key removed from the program fails here until the
-README stops showing it.
+A flag, verb, config key or ``poolal.<module>.<name>`` removed from the
+program fails here until the README stops showing it.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -39,3 +40,25 @@ def test_readme_command_parses(argv):
 def test_readme_config_decodes():
     (block,) = _blocks("yaml")
     assert isinstance(decode(ExperimentConfig, yaml.safe_load(block), "README.md"), ExperimentConfig)
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names an object: its longest importable module prefix, then attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for name in parts[i:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def test_readme_python_names_resolve():
+    names = set(re.findall(r"`(poolal(?:\.\w+)+)", README.read_text(encoding="utf-8")))
+    assert names
+    assert sorted(n for n in names if not _resolves(n)) == []

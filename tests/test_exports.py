@@ -1,15 +1,14 @@
-"""Every exported name of the package resolves.
+"""Every exported name of the package resolves, from one import path.
 
 A deleted function whose name stays in a module's ``__all__`` only fails a
-``from poolal.<module> import *``; these tests name it at once.
+``from poolal.<module> import *``; these tests name it at once. The package
+itself re-exports nothing, so each name is imported from its own module.
 """
 
 from __future__ import annotations
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -24,23 +23,10 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []
 
 
-def _package_imports() -> list[tuple[str, str]]:
-    """Each ``(module, name)`` that ``poolal/__init__.py`` imports with ``from .module import name``."""
-    tree = ast.parse(Path(poolal.__file__).read_text(encoding="utf-8"))
-    relative = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    return [(node.module, alias.name) for node in relative for alias in node.names]
-
-
-def test_every_name_the_package_imports_resolves():
-    imports = _package_imports()
-    assert imports
-    missing = [f"{m}.{n}" for m, n in imports if not hasattr(importlib.import_module(f"poolal.{m}"), n)]
-    assert missing == []
-    assert all(hasattr(poolal, n) for _, n in imports)
-
-
-def test_every_name_the_package_imports_is_in_its_module_all():
-    """A module without ``__all__`` (``errors``) exports every name it defines."""
-    modules = {m: importlib.import_module(f"poolal.{m}") for m, _ in _package_imports()}
-    unlisted = [f"{m}.{n}" for m, n in _package_imports() if n not in getattr(modules[m], "__all__", [n])]
-    assert unlisted == []
+def test_the_package_binds_only_its_modules_and_version():
+    """``poolal`` holds its submodules, dunder names and ``__version__``, and no re-exported name."""
+    for name in MODULES:
+        importlib.import_module(f"poolal.{name}")
+    extra = [n for n in vars(poolal) if n not in MODULES and not (n.startswith("__") and n.endswith("__"))]
+    assert extra == []
+    assert isinstance(poolal.__version__, str)

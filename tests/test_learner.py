@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_split
-from oracles import _logits, loss_and_gradient, mean_loss, reference_sgd
+from oracles import _logits, gradient_check, loss_and_gradient, mean_loss, reference_sgd
 from poolal import learner
 from poolal.config import decode
 from poolal.core import RandomSource, Split, TrainingSet
@@ -18,7 +18,6 @@ from poolal.errors import ConfigurationError, TrainingError
 from poolal.learner import (
     LearnerConfig,
     TrainedModel,
-    gradient_check,
     predict_batch,
     predict_proba,
     train,
