@@ -13,7 +13,8 @@ cross-field rules.
 
 Each rule on a value has one home, and code downstream of that home trusts
 the value: config values in the ``__post_init__`` of ``ExperimentConfig``,
-``EntropyTopK`` and ``LearnerConfig``; dataset contents in
+``EntropyTopK`` and ``LearnerConfig``; generator spec values, its size
+included, in ``GeneratorSpec.__post_init__``; dataset contents in
 ``DatasetBundle.build``; seeds, from the config or a CLI override, in
 ``run_sweep``; loop invariants in ``engine._check_append``; weight sums in
 ``largest_remainder``; a set of run records in ``group_and_aggregate``; a

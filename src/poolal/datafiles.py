@@ -11,13 +11,14 @@ data, and a digest of the CSV bytes that run records embed and reports compare.
 :func:`write_dataset`, which ``poolal generate`` calls, also writes
 ``columns.bin``: the parsed columns, so that each later ``run`` or ``sweep``
 loads them instead of parsing the CSVs again. It is derived data, safe to
-delete, and no reader writes it. It opens with the SHA-256 of the three CSVs
-and of the class names its labels index, then holds each split's ``X``, ``y``
-and ``ids`` as ``.npy`` arrays (format 1.0, no pickle). :func:`read_dataset`
-uses it only when that head matches the files and the manifest, and each
-array's header gives the manifest's shape and an exact dtype before the array
-is allocated; anything else, a dataset from elsewhere included, is read by
-the one CSV reader, :func:`_read_split_csv`. Either way the same checks follow.
+delete, and no reader writes it. Its head holds a magic, the three id widths
+and one SHA-256 over the CSVs' digest, the class names its labels index, the
+widths and the body: raw little-endian columns in the manifest's shapes, each
+split's ``X`` (``<f8``) and ``y`` (``<i8``), then each split's ids as UCS-4.
+:func:`read_dataset` loads it only when its size fits the manifest and the
+widths and that digest matches; anything else, a dataset from elsewhere or an
+older layout included, is read by the one CSV reader, :func:`_read_split_csv`.
+Either way the same checks follow.
 
 This is the one module that knows a file format. Configs and generator specs
 are YAML, read by :func:`load_yaml`. Every JSON file is written by
@@ -32,10 +33,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
+import struct
 from array import array
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -65,7 +67,8 @@ __all__ = [
 
 SPLIT_FILES = (("train", "train.csv"), ("validation", "val.csv"), ("test", "test.csv"))
 COLUMNS_FILE = "columns.bin"
-_COLUMNS_MAGIC = b"poolal columns 1"
+_COLUMNS_MAGIC = b"poolal columns 2"
+_COLUMNS_HEAD = struct.Struct("<16s3Q32s")  # the magic, each split's id width in characters, the digest
 
 
 @dataclass(frozen=True)
@@ -185,54 +188,42 @@ def _csv_digest(data_dir: Path) -> bytes:
     return h.digest()
 
 
-def _columns_head(csv_digest: bytes, class_names: Iterable[str]) -> bytes:
-    """The bytes that open a columns file: the CSVs' digest, and the digest of the class names its labels index."""
-    names = json.dumps(list(class_names)).encode("utf-8")
-    return _COLUMNS_MAGIC + csv_digest + hashlib.sha256(names).digest()
+def _columns_digest(csv_digest: bytes, class_names: Iterable[str], widths: Iterable[int], body: Iterable) -> bytes:
+    """The SHA-256 in a columns file's head: of the CSVs' digest, the class names' digest, the id widths, the body."""
+    names = hashlib.sha256(json.dumps(list(class_names)).encode("utf-8")).digest()
+    h = hashlib.sha256(csv_digest + names + struct.pack("<3Q", *widths))
+    for piece in body:
+        h.update(piece)
+    return h.digest()
 
 
-def _stored_columns(split: Split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(X, y, ids)`` as the CSV parse gives them: the ids as wide as the longest, as a list of them makes them."""
-    width = int(np.char.str_len(split.ids).max(initial=1))
-    return split.X, split.y, split.ids.astype(f"<U{width}", copy=False)
+def _read_columns(path: Path, csv_digest: bytes, manifest: Manifest) -> dict[str, tuple] | None:
+    """Each split's ``(X, y, ids)``, read-only views of the file ``path``, or None where it may not stand for the CSVs.
 
-
-def _read_columns(path: Path, head: bytes, manifest: Manifest) -> dict[str, tuple] | None:
-    """Each split's ``(X, y, ids)`` from columns file ``path``, or None where it may not stand for the CSVs.
-
-    The file must open with ``head``; each array's header must give the shape
-    the manifest implies, C order and an exact dtype (``<f8``, ``<i8``, a
-    ``<U`` string) before the array is allocated, and no more bytes than are
-    left in the file; the arrays must end where the file ends. A missing file
-    or a header numpy refuses gives None too.
+    The file must open with the magic and be as long as the head and the body
+    the manifest's counts and ``feature_dim`` and the head's id widths imply,
+    checked before the body is read; then the head's digest must be that of
+    the body, the CSVs and the manifest's class names. A missing file gives None too.
     """
+    rows, d = [sum(manifest.counts[split_name]) for split_name, _ in SPLIT_FILES], manifest.feature_dim
     try:
-        with path.open("rb") as f:
-            if f.read(len(head)) != head:
+        with path.open("rb", buffering=0) as f:  # unbuffered: the body is read in one call, into one buffer
+            magic, *widths, digest = _COLUMNS_HEAD.unpack(f.read(_COLUMNS_HEAD.size))
+            # (dtype, items, bytes) of each block in file order; the numeric blocks first keeps them 8-byte aligned
+            blocks = [block for n in rows for block in (("<f8", n * d, 8 * n * d), ("<i8", n, 8 * n))]
+            blocks += [(f"<U{w}", n, 4 * w * n) for n, w in zip(rows, widths)]
+            size = os.fstat(f.fileno()).st_size - _COLUMNS_HEAD.size
+            if magic != _COLUMNS_MAGIC or d < 1 or min(rows) < 0 or min(widths) < 1 or size != sum(b[2] for b in blocks):
                 return None
-            size = os.fstat(f.fileno()).st_size
-            splits = {}
-            for split_name, _ in SPLIT_FILES:
-                n = sum(manifest.counts[split_name])
-                columns = []
-                for shape, dtype_str in (((n, manifest.feature_dim), "<f8"), ((n,), "<i8"), ((n,), "<U")):
-                    if np.lib.format.read_magic(f) != (1, 0):
-                        return None
-                    got_shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(f)
-                    exact = dtype.str == dtype_str or (dtype_str == "<U" == dtype.str[:2] and dtype.itemsize > 0)
-                    if got_shape != shape or fortran_order or not exact:
-                        return None
-                    nbytes = math.prod(shape) * dtype.itemsize
-                    if nbytes > size - f.tell():
-                        return None
-                    column = np.empty(shape, dtype)  # a negative dimension raises ValueError
-                    if f.readinto(column) != nbytes:
-                        return None
-                    columns.append(column)
-                splits[split_name] = tuple(columns)
-            return None if f.read(1) else splits
-    except (OSError, ValueError):
+            body = f.read()
+    except (OSError, struct.error):  # struct.error: a file shorter than the head
         return None
+    if _columns_digest(csv_digest, manifest.classes, widths, [body]) != digest:
+        return None
+    offsets = accumulate((b[2] for b in blocks), initial=0)
+    views = [np.frombuffer(body, dtype, items, offset) for (dtype, items, _), offset in zip(blocks, offsets)]
+    X, y, ids = views[0:6:2], views[1:6:2], views[6:]
+    return {split_name: (X[i].reshape(rows[i], d), y[i], ids[i]) for i, (split_name, _) in enumerate(SPLIT_FILES)}
 
 
 def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: GeneratorSpec | None = None) -> str:
@@ -246,11 +237,15 @@ def write_dataset(bundle: DatasetBundle, out_dir: str | Path, generator_spec: Ge
 
     fork_map(write_csvs, [SPLIT_FILES[:1], SPLIT_FILES[1:]], lambda files, why: OSError(f"{out / files[0][1]}: {why}"))
     csv_digest = _csv_digest(out)
-    with (out / COLUMNS_FILE).open("wb") as f:  # .npy bytes stamp no time: equal columns, equal bytes
-        f.write(_columns_head(csv_digest, bundle.class_names))
-        for split_name, _ in SPLIT_FILES:
-            for column in _stored_columns(getattr(bundle, split_name)):
-                np.lib.format.write_array(f, column, version=(1, 0), allow_pickle=False)
+    splits = [getattr(bundle, split_name) for split_name, _ in SPLIT_FILES]
+    # each id column as wide as its longest id, as the CSV parse makes it
+    ids = [np.ascontiguousarray(s.ids, f"<U{np.char.str_len(s.ids).max(initial=1)}") for s in splits]
+    body = [np.ascontiguousarray(a, dtype) for s in splits for a, dtype in ((s.X, "<f8"), (s.y, "<i8"))] + ids
+    widths = [column.itemsize // 4 for column in ids]
+    digest = _columns_digest(csv_digest, bundle.class_names, widths, body)
+    with (out / COLUMNS_FILE).open("wb") as f:
+        f.write(_COLUMNS_HEAD.pack(_COLUMNS_MAGIC, *widths, digest))
+        f.writelines(body)
     dataset_hash = csv_digest.hex()[:12]
     manifest = Manifest(
         schema_version=1,
@@ -310,9 +305,7 @@ def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, Manifest]:
     paths = {split_name: data_dir / fname for split_name, fname in SPLIT_FILES}
     # with a split file missing, the loop below names it where the CSV reader always did
     csv_digest = _csv_digest(data_dir) if all(path.is_file() for path in paths.values()) else None
-    stored = None
-    if csv_digest is not None:
-        stored = _read_columns(data_dir / COLUMNS_FILE, _columns_head(csv_digest, manifest.classes), manifest)
+    stored = None if csv_digest is None else _read_columns(data_dir / COLUMNS_FILE, csv_digest, manifest)
     name_to_index = {n: i for i, n in enumerate(manifest.classes)}
     splits = {}
     for split_name, path in paths.items():
@@ -320,14 +313,9 @@ def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, Manifest]:
             raise ConfigurationError(f"missing split file {path}")
         columns = stored[split_name] if stored else _read_split_csv(path, name_to_index, manifest.feature_dim)
         try:
-            split = Split(*columns)
+            splits[split_name] = Split(*columns)
         except ConfigurationError as e:
             raise ConfigurationError(f"{path}: {e}") from None
-        counts = np.bincount(split.y, minlength=len(manifest.classes)).tolist()
-        declared = manifest.counts[split_name]
-        if counts != declared:
-            raise ConfigurationError(f"{path}: class counts {counts} differ from the manifest's {declared}")
-        splits[split_name] = split
 
     dataset_hash = csv_digest.hex()[:12]
     declared = manifest.dataset_hash
@@ -336,9 +324,11 @@ def read_dataset(data_dir: str | Path) -> tuple[DatasetBundle, str, Manifest]:
             f"dataset files do not match the manifest hash (declared {declared}, actual {dataset_hash})"
         )
 
-    bundle = DatasetBundle.build(
-        manifest.classes, splits["train"], splits["validation"], splits["test"], manifest.feature_dim
-    )
+    bundle = DatasetBundle.build(manifest.classes, *splits.values(), manifest.feature_dim)
+    for split_name, path in paths.items():  # after the build, which refuses a label out of range
+        counts, declared = bundle.split_counts(splits[split_name]), manifest.counts[split_name]
+        if counts != declared:
+            raise ConfigurationError(f"{path}: class counts {counts} differ from the manifest's {declared}")
     return bundle, dataset_hash, manifest
 
 

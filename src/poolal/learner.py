@@ -13,7 +13,8 @@ the jobs with equal batch rows at a batch position. :func:`train` is its
 one-job case, so there is one implementation of the loop.
 
 All math is float64; training is single-threaded and bit-reproducible for
-a fixed :class:`~poolal.core.RandomSource`, stacked or alone.
+a fixed :class:`~poolal.core.RandomSource`, stacked or alone, on one BLAS
+kernel: another (``OPENBLAS_CORETYPE=Nehalem``) gives other model bits.
 
 Every forward pass runs in one kernel (:func:`_kernel`): the SGD step, the
 per-epoch validation loss, the final training-loss check and the

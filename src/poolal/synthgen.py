@@ -62,6 +62,13 @@ class GeneratorSpec:
                 raise ConfigurationError(f"{name} must have {self.num_classes} entries")
             if any(c < 0 for c in counts):
                 raise ConfigurationError(f"{name} entries must be >= 0")
+        # generate holds every feature value and class mean as a float64: a spec past 2 GiB of
+        # them (``paper-shape`` holds 4.7e5) is refused here, not left to fail in an allocation
+        rows = sum(self.per_class_train_counts) + sum(self.per_class_val_counts) + sum(self.per_class_test_counts)
+        if (rows + self.num_classes) * self.feature_dim > 2**28:
+            raise ConfigurationError(
+                f"{rows} rows and {self.num_classes} means of {self.feature_dim} features exceed 2**28 values"
+            )
         if len(self.class_sigmas) != self.num_classes:
             raise ConfigurationError(f"class_sigmas must have {self.num_classes} entries")
         if any(s <= 0 for s in self.class_sigmas):

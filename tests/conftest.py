@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poolal.core import ClassPools, DatasetBundle, Split
+from poolal.datafiles import read_dataset
+from poolal.errors import ConfigurationError
 
 
 def make_split(labels, prefix="s", feature_dim=2, rng=None):
@@ -22,6 +25,16 @@ def record_payload(record):
     payload = asdict(replace(record, terminal_model=None))
     del payload["terminal_model"]
     return payload
+
+
+def outcome(data_dir: Path):
+    """What ``read_dataset`` gives: the dataset hash and every split's columns, or the error's text."""
+    try:
+        bundle, dataset_hash, _ = read_dataset(data_dir)
+    except ConfigurationError as e:
+        return str(e)
+    splits = (bundle.train, bundle.validation, bundle.test)
+    return dataset_hash, [(s.X.tobytes(), s.y.tolist(), str(s.ids.dtype), s.ids.tolist()) for s in splits]
 
 
 def pools_of(split, num_classes):

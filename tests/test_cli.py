@@ -5,6 +5,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -17,7 +18,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_reaped
+from conftest import assert_reaped, outcome
 from oracles import reference_read_split_csv
 from test_golden import ARMS
 from poolal.cli import build_parser, main
@@ -342,6 +343,23 @@ class TestGenerateVerb:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{spec_file}: {message}" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(per_class_train_counts=[10**13, 12, 12]), "10000000000204 rows and 3 means of 4 features exceed 2**28 values"),
+            (dict(feature_dim=10**9), "450 rows and 3 means of 1000000000 features exceed 2**28 values"),
+            (dict(per_class_val_counts=[2**62, 3, 3]), "4611686018427388270 rows and 3 means of 4 features exceed 2**28 values"),
+        ],
+        ids=["train-rows", "feature-dim", "val-rows"],
+    )
+    def test_an_oversized_spec_exits_2_before_allocating(self, tmp_path, capsys, edit, message):
+        spec_file = write_yaml(tmp_path / "g.yaml", dict(GEN_SPEC, **edit))
+        with mock.patch("poolal.cli.generate", side_effect=AssertionError("generated")):
+            assert main(["generate", "--spec", str(spec_file), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {spec_file}: {message}\n"
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("source", ["--preset", "--spec"])
@@ -679,6 +697,48 @@ class TestRunInputs:
         (data_dir / "manifest.json").write_text(json.dumps(manifest))
         cfg_file = write_yaml(tmp_path / "cfg.yaml", cfg)
         assert_exit_0_or_one_error_line(capsys, ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+
+
+def mutate_bytes(data, raw: bytes) -> bytes:
+    """``raw`` with one bit flipped, one byte inserted or deleted, a cut, or a short stretch written twice."""
+    op = data.draw(st.sampled_from(["flip", "insert", "delete", "truncate", "duplicate"]))
+    i = data.draw(st.integers(0, max(len(raw) - 1, 0)))
+    if op == "flip":
+        return raw[:i] + bytes([raw[i] ^ 1 << data.draw(st.integers(0, 7))]) + raw[i + 1 :]
+    if op == "insert":
+        return raw[:i] + bytes([data.draw(st.integers(0, 255))]) + raw[i:]
+    if op == "delete":
+        return raw[:i] + raw[i + 1 :]
+    if op == "truncate":
+        return raw[:i]
+    j = data.draw(st.integers(i, min(len(raw), i + 16)))
+    return raw[:j] + raw[i:j] + raw[j:]
+
+
+class TestByteMutations:
+    """``run`` with one input file mutated byte by byte exits 0, or 2 with one ``error:`` line.
+
+    A mutated columns file must also leave the dataset the CSVs give.
+    """
+
+    @pytest.mark.parametrize("name", [COLUMNS_FILE, "manifest.json", "cfg.yaml"])
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_file_exits_0_or_2(self, tmp_path, capsys, tiny_dataset, name, data):
+        pristine, manifest_text = tiny_dataset
+        data_dir = tmp_path / "data"
+        shutil.copytree(pristine, data_dir, dirs_exist_ok=True)
+        (data_dir / "manifest.json").write_text(manifest_text)
+        cfg = dict(copy.deepcopy(RUN_CFG), dataset=str(data_dir), per_class_initial=4, budget=4, seeds=[0])
+        cfg["learner"]["max_epochs"] = 1
+        cfg_file = write_yaml(tmp_path / "cfg.yaml", cfg)
+        path = cfg_file if name == "cfg.yaml" else data_dir / name
+        path.write_bytes(mutate_bytes(data, path.read_bytes()))
+        assert_exit_0_or_one_error_line(capsys, ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        if name == COLUMNS_FILE:
+            loaded = outcome(data_dir)
+            with mock.patch("poolal.datafiles._read_columns", return_value=None):
+                assert isinstance(loaded, tuple) and loaded == outcome(data_dir)
 
 
 class TestRunVerb:

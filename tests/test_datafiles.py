@@ -8,7 +8,10 @@ file that may not stand for the CSVs must give what the CSVs give.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,21 +22,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_reaped, make_bundle
+from conftest import assert_reaped, make_bundle, outcome
 from oracles import reference_read_split_csv, reference_write_split_csv
-from test_cli import _edit_manifest
+from test_cli import RUN_CFG, _edit_manifest, write_yaml
+from poolal.cli import main
 from poolal.core import DatasetBundle, Split
-from poolal.datafiles import (
-    COLUMNS_FILE,
-    SPLIT_FILES,
-    _columns_head,
-    _csv_digest,
-    _write_split_csv,
-    _stored_columns,
-    read_dataset,
-    write_dataset,
-)
-from poolal.errors import ConfigurationError
+from poolal.datafiles import COLUMNS_FILE, SPLIT_FILES, _csv_digest, _write_split_csv, read_dataset, write_dataset
 
 FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -130,39 +124,49 @@ def dataset(tmp_path):
     return tmp_path / "data"
 
 
-def outcome(data_dir: Path):
-    """What ``read_dataset`` gives: the dataset hash and every split's columns, or the error's text."""
-    try:
-        bundle, dataset_hash, _ = read_dataset(data_dir)
-    except ConfigurationError as e:
-        return str(e)
-    splits = (bundle.train, bundle.validation, bundle.test)
-    return dataset_hash, [(s.X.tobytes(), s.y.tolist(), str(s.ids.dtype), s.ids.tolist()) for s in splits]
-
-
 def csv_outcome(data_dir: Path):
     """:func:`outcome` with the columns file deleted: what the CSVs give."""
     (data_dir / COLUMNS_FILE).unlink(missing_ok=True)
     return outcome(data_dir)
 
 
-def forge(data_dir: Path, edit=lambda columns: columns) -> None:
-    """Rewrite the columns file under the head the files call for, with columns that differ from the CSVs'.
+def forged_columns(bundle: DatasetBundle) -> list[tuple]:
+    """Each split's ``(X, y, ids)``, changed so that a file holding them shows when loaded.
 
-    Each split's ``X`` is shifted by 1, its labels move to the next class
-    (every class keeps its count) and its ids gain a ``z``, so a file that is
-    loaded shows. ``edit`` takes and returns the nine arrays in file order;
-    an object array is pickled.
+    ``X`` is shifted by 1, the labels move to the next class (every class
+    keeps its count) and the ids gain a ``z``.
+    """
+    splits = (bundle.train, bundle.validation, bundle.test)
+    return [(s.X + 1, (s.y + 1) % bundle.num_classes, np.char.add("z", s.ids)) for s in splits]
+
+
+def forge(data_dir: Path, edit=lambda columns: columns, widths=lambda widths: widths) -> None:
+    """Rewrite the columns file with :func:`forged_columns`, under the digest the files call for.
+
+    ``edit`` takes and returns the nine columns in file order: each split's
+    ``X`` and ``y``, then each split's ids. ``widths`` takes and returns the
+    three id widths of the head. The digest is computed here from the layout
+    as documented: the SHA-256 of the CSVs' digest, the class names' digest,
+    the widths and the body.
     """
     bundle, _, manifest = read_dataset(data_dir)
-    columns = []
-    for split_name, _ in SPLIT_FILES:
-        X, y, ids = _stored_columns(getattr(bundle, split_name))
-        columns += [X + 1, (y + 1) % bundle.num_classes, np.char.add("z", ids)]
+    triples = forged_columns(bundle)
+    columns = edit([c for X, y, _ in triples for c in (X, y)] + [ids for *_, ids in triples])
+    head = struct.pack("<3Q", *widths([ids.itemsize // 4 for ids in columns[6:]]))
+    body = b"".join(column.tobytes() for column in columns)
+    names = hashlib.sha256(json.dumps(manifest.classes).encode("utf-8")).digest()
+    digest = hashlib.sha256(_csv_digest(data_dir) + names + head + body).digest()
+    (data_dir / COLUMNS_FILE).write_bytes(b"poolal columns 2" + head + digest + body)
+
+
+def forge_version_1(data_dir: Path) -> None:
+    """Rewrite the columns file in the first layout, with :func:`forged_columns`: its head, then nine ``.npy`` arrays."""
+    bundle, _, manifest = read_dataset(data_dir)
+    names = hashlib.sha256(json.dumps(manifest.classes).encode("utf-8")).digest()
     with (data_dir / COLUMNS_FILE).open("wb") as f:
-        f.write(_columns_head(_csv_digest(data_dir), manifest.classes))
-        for column in edit(columns):
-            np.lib.format.write_array(f, column, version=(1, 0), allow_pickle=True)
+        f.write(b"poolal columns 1" + _csv_digest(data_dir) + names)
+        for column in (column for triple in forged_columns(bundle) for column in triple):
+            np.lib.format.write_array(f, column, version=(1, 0), allow_pickle=False)
 
 
 def _edited(i, change):
@@ -173,6 +177,12 @@ def _edited(i, change):
     return edit
 
 
+def _buffer_of(a: np.ndarray):
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a
+
+
 class TestColumnsFile:
     """``read_dataset`` loads the columns file only where it stands for the CSVs; else it gives what they give."""
 
@@ -181,11 +191,49 @@ class TestColumnsFile:
             loaded = outcome(dataset)
         assert loaded == csv_outcome(dataset)
 
-    def test_a_forged_file_under_the_right_head_is_loaded(self, dataset):
+    def test_a_forged_file_under_the_right_digest_is_loaded(self, dataset):
         """The control for the forgeries below: ``forge`` writes a file the reader takes, and it shows."""
         forge(dataset)
         loaded = outcome(dataset)
         assert isinstance(loaded, tuple) and loaded != csv_outcome(dataset)
+
+    def test_loaded_columns_are_read_only_aligned_views_of_one_read(self, dataset):
+        with mock.patch("poolal.datafiles._read_split_csv", side_effect=AssertionError("parsed a CSV")):
+            bundle, _, _ = read_dataset(dataset)
+        arrays = [a for split in (bundle.train, bundle.validation, bundle.test) for a in (split.X, split.y)]
+        for a in arrays:
+            assert not a.flags.writeable and a.flags.aligned and a.ctypes.data % 8 == 0
+        assert isinstance(_buffer_of(arrays[0]), bytes)
+        assert all(_buffer_of(a) is _buffer_of(arrays[0]) for a in arrays)
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "header-byte"])
+    def test_a_version_1_file_falls_back_to_the_csvs(self, dataset, corrupt):
+        """An older layout is not read, even under a head its reader took; a bad ``.npy`` header raises nothing."""
+        forge_version_1(dataset)
+        path = dataset / COLUMNS_FILE
+        if corrupt:
+            raw = bytearray(path.read_bytes())
+            raw[raw.index(b"{'descr'") + 1] = ord("[")
+            path.write_bytes(bytes(raw))
+        got = outcome(dataset)
+        assert isinstance(got, tuple) and got == csv_outcome(dataset)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_flipped_body_bit_falls_back_to_the_csvs(self, dataset, data):
+        """Loaded, a flipped bit shows: another float, label or id, or a code point no string holds."""
+        path = dataset / COLUMNS_FILE
+        raw = path.read_bytes()
+        with mock.patch("poolal.datafiles._read_columns", return_value=None):
+            want = outcome(dataset)
+        bit = data.draw(st.integers(8 * 72, 8 * len(raw) - 1))
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << bit % 8
+        path.write_bytes(bytes(flipped))
+        try:
+            assert outcome(dataset) == want
+        finally:
+            path.write_bytes(raw)
 
     @pytest.mark.parametrize("keep_hash", [False, True], ids=["hash-dropped", "hash-kept"])
     def test_stale_after_a_csv_edit(self, dataset, keep_hash):
@@ -210,39 +258,28 @@ class TestColumnsFile:
         got = outcome(dataset)
         assert got == csv_outcome(dataset) and got[1][0][1][:3] == [2, 1, 0]
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            pytest.param(_edited(0, lambda X: np.hstack([X, X[:, :1]])), id="feature-dim"),
-            pytest.param(_edited(3, lambda X: X[:-1]), id="row-count"),
-            pytest.param(_edited(0, lambda X: X.astype(np.float32)), id="float32-X"),
-            pytest.param(_edited(0, lambda X: X.astype(">f8")), id="big-endian-X"),
-            pytest.param(_edited(0, np.asfortranarray), id="fortran-order-X"),
-            pytest.param(_edited(1, lambda y: y.astype(np.int32)), id="int32-y"),
-            pytest.param(_edited(1, lambda y: y.astype(np.float64)), id="float-y"),
-            pytest.param(_edited(2, lambda ids: ids.astype(bytes)), id="bytes-ids"),
-            pytest.param(_edited(2, lambda ids: ids.astype(ids.dtype.newbyteorder(">"))), id="big-endian-ids"),
-            pytest.param(_edited(2, lambda ids: ids.astype(object)), id="pickled-ids"),
-            pytest.param(_edited(8, lambda ids: ids.astype(object)), id="pickled-last-ids"),
-            pytest.param(_edited(4, lambda y: np.array(y.tolist(), dtype=object)), id="pickled-y"),
-        ],
-    )
-    def test_a_forged_array_falls_back_to_the_csvs(self, dataset, edit):
-        forge(dataset, edit)
-        got = outcome(dataset)
-        assert isinstance(got, tuple) and got == csv_outcome(dataset)
+    @pytest.mark.parametrize("label", [-1, 2**40])
+    def test_a_forged_label_out_of_range_is_one_error_line(self, dataset, tmp_path, capsys, label):
+        """The bundle's label rule refuses it before the manifest's counts are compared."""
+        forge(dataset, _edited(1, lambda y: np.where(np.arange(len(y)) == 0, label, y)))
+        cfg = write_yaml(tmp_path / "cfg.yaml", dict(RUN_CFG, dataset=str(dataset), output_dir=str(tmp_path / "out")))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: train: sample 'ztr0' has unregistered label {label}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "cut",
         [
             pytest.param(lambda raw: b"", id="empty"),
-            pytest.param(lambda raw: raw[:10], id="in-the-head"),
-            pytest.param(lambda raw: raw[:85], id="in-the-first-npy-magic"),
-            pytest.param(lambda raw: raw[:150], id="in-the-first-header"),
-            pytest.param(lambda raw: raw[:300], id="in-the-first-array"),
+            pytest.param(lambda raw: raw[:10], id="in-the-magic"),
+            pytest.param(lambda raw: raw[:30], id="in-the-widths"),
+            pytest.param(lambda raw: raw[:50], id="in-the-digest"),
+            pytest.param(lambda raw: raw[:72], id="the-head-alone"),
+            pytest.param(lambda raw: raw[:100], id="in-the-first-X"),
             pytest.param(lambda raw: raw[: len(raw) // 2], id="halfway"),
             pytest.param(lambda raw: raw[:-1], id="last-byte-cut"),
             pytest.param(lambda raw: raw + b"\x00", id="a-byte-appended"),
+            pytest.param(lambda raw: raw + raw[72:], id="the-body-twice"),
         ],
     )
     def test_a_cut_or_padded_file_falls_back_to_the_csvs(self, dataset, cut):
@@ -254,24 +291,17 @@ class TestColumnsFile:
 
     @pytest.mark.parametrize("claim", ["rows", "id-width"])
     def test_a_huge_claimed_shape_allocates_nothing(self, dataset, claim):
-        """A header claiming gigabytes falls back before allocating, under a 1 GiB address-space limit.
+        """A shape of gigabytes falls back before allocating, under a 1 GiB address-space limit.
 
-        For ``rows`` the manifest claims the same rows, so that only the file's
-        size can refuse the header; the CSVs then give their counts error.
+        The file's digest is valid either way, so only its size can refuse the
+        claim: the manifest's ``rows``, for which the CSVs then give their
+        counts error, or the head's train ``id-width``.
         """
-        bundle, _, manifest = read_dataset(dataset)
         if claim == "rows":
+            forge(dataset)
             _edit_manifest(dataset, lambda m: m["counts"]["train"].__setitem__(0, 10**9))
-            header = {"descr": "<f8", "fortran_order": False, "shape": (10**9 + 8, 4)}
         else:
-            header = {"descr": "<U100000000", "fortran_order": False, "shape": (len(bundle.train),)}
-        with (dataset / COLUMNS_FILE).open("wb") as f:
-            f.write(_columns_head(_csv_digest(dataset), manifest.classes))
-            if claim == "id-width":
-                X, y, _ = _stored_columns(bundle.train)
-                np.lib.format.write_array(f, X, version=(1, 0))
-                np.lib.format.write_array(f, y, version=(1, 0))
-            np.lib.format.write_array_header_1_0(f, header)
+            forge(dataset, widths=lambda widths: [10**8, *widths[1:]])
         here = Path(__file__).resolve().parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
         env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
