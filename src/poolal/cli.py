@@ -29,7 +29,7 @@ from .datafiles import (
     write_dataset,
     write_trajectory_csv,
 )
-from .engine import run_sweep
+from .engine import RunRecord, run_sweep
 from .errors import ConfigurationError, PoolalError
 from .reporting import group_and_aggregate, render_table, write_report_csv
 from .synthgen import PRESETS, GeneratorSpec, generate
@@ -94,14 +94,30 @@ def _parse_seed_override(args: argparse.Namespace, config: ExperimentConfig) -> 
         raise ConfigurationError(f"bad --seeds list {args.seeds!r}") from None
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    config = decode(ExperimentConfig, load_yaml(args.config), args.config)
-    seeds = _parse_seed_override(args, config)
-    out_dir = Path(args.out) if args.out is not None else Path(config.output_dir)
+def _checked_out_dir(out_dir: Path) -> Path:
+    """``out_dir`` if it is a directory or can become one: the output-path rule of ``run`` and ``report --out``."""
     nearest = next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists())
     if not nearest.is_dir():
         where = "exists and" if nearest is out_dir else f"is under {nearest}, which"
         raise ConfigurationError(f"output path {out_dir} {where} is not a directory")
+    return out_dir
+
+
+def _write_tables(records: list[RunRecord], out_dir: Path | None, stem: str) -> None:
+    """Aggregate and print ``records``, and write ``<stem>.txt`` and ``<stem>.csv`` to ``out_dir`` if one is given."""
+    reports = group_and_aggregate(records)
+    table = render_table(reports)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / f"{stem}.txt").write_text(table, encoding="utf-8")
+        write_report_csv(reports, out_dir / f"{stem}.csv")
+    print(table, end="")
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = decode(ExperimentConfig, load_yaml(args.config), args.config)
+    seeds = _parse_seed_override(args, config)
+    out_dir = _checked_out_dir(args.out or Path(config.output_dir))
 
     bundle, dataset_hash = resolve_dataset(config.dataset)
     print(
@@ -117,7 +133,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         stem = f"{chash}-seed{record.seed}"
         save_run_record(record, out_dir / f"run-{stem}.json")
         write_trajectory_csv(record, out_dir / f"trajectory-{stem}.csv")
-        if args.save_models and record.terminal_model is not None:
+        if args.save_models:
             save_model(record.terminal_model, out_dir / f"model-{stem}.json", config_hash=chash)
         print(
             f"seed {record.seed}: labeled {record.total_labeled} "
@@ -126,25 +142,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"stopped: {record.stop_reason}",
             file=sys.stderr,
         )
-
-    reports = group_and_aggregate(records)
-    table = render_table(reports)
-    (out_dir / f"aggregate-{chash}.txt").write_text(table, encoding="utf-8")
-    write_report_csv(reports, out_dir / f"aggregate-{chash}.csv")
-    print(table, end="")
+    _write_tables(records, out_dir, f"aggregate-{chash}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    records = [load_run_record(p) for p in args.records]
-    reports = group_and_aggregate(records)
-    table = render_table(reports)
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.txt").write_text(table, encoding="utf-8")
-        write_report_csv(reports, out_dir / "report.csv")
-    print(table, end="")
+    out_dir = None if args.out is None else _checked_out_dir(args.out)
+    _write_tables([load_run_record(p) for p in args.records], out_dir, "report")
     return 0
 
 

@@ -17,8 +17,8 @@ the value: config values in the ``__post_init__`` of ``ExperimentConfig``,
 included, in ``GeneratorSpec.__post_init__``; dataset contents in
 ``DatasetBundle.build``; seeds, from the config or a CLI override, in
 ``run_sweep``; loop invariants in ``engine._check_append``; weight sums in
-``largest_remainder``; a set of run records in ``group_and_aggregate``; a
-run's output path in ``cli.cmd_run``.
+``largest_remainder``; a set of run records in ``group_and_aggregate``; the
+output path of ``run`` and ``report --out`` in ``cli._checked_out_dir``.
 """
 
 from __future__ import annotations

@@ -20,8 +20,10 @@ widths and that digest matches; anything else, a dataset from elsewhere or an
 older layout included, is read by the one CSV reader, :func:`_read_split_csv`.
 Either way the same checks follow.
 
-This is the one module that knows a file format. Configs and generator specs
-are YAML, read by :func:`load_yaml`. Every JSON file is written by
+This module reads and writes every input file and the per-seed outputs; the
+aggregate tables are the one exception, written by ``cli._write_tables`` and
+:func:`poolal.reporting.write_report_csv`. Configs and generator specs are
+YAML, read by :func:`load_yaml`. Every JSON file is written by
 :func:`_write_json` and read back by :func:`_read_json` as a dataclass
 (:class:`Manifest`, :class:`Checkpoint` or the run record) through
 :func:`~poolal.config.decode`, which refuses a missing or unknown key or a

@@ -1,8 +1,11 @@
 """Aggregation of run records into mean(std) tables.
 
-One aggregate column per experiment config; rows are per-class F1, the
-micro/macro totals, accuracy, and the labeled fraction of the train split.
-Values are formatted as percentages with two decimals, "90.34(0.66)" style.
+An aggregate is its rows: one experiment config's table column, each row a
+label and the mean and sample std over seeds, in the order they print. The
+rows are each class's F1, ``Total (micro)``, ``Total (macro)``, ``Accuracy``
+and ``Labeled fraction`` (of the train split). :func:`render_table` and
+:func:`write_report_csv` print them as they are; the table's values are
+percentages with two decimals, "90.34(0.66)" style.
 """
 
 from __future__ import annotations
@@ -38,26 +41,13 @@ def _mean_std(values: Sequence[float]) -> MeanStd:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Across-seed statistics for one experiment config."""
+    """Across-seed statistics for one experiment config: the table rows it prints, in order."""
 
     config_hash: str
     dataset_hash: str
     arm_label: str
-    class_names: tuple[str, ...]
     seeds: tuple[int, ...]
-    per_class_f1: tuple[MeanStd, ...]
-    micro_f1: MeanStd
-    macro_f1: MeanStd
-    accuracy: MeanStd
-    labeled_fraction: MeanStd
-
-    def rows(self) -> list[tuple[str, MeanStd]]:
-        rows = [(name, ms) for name, ms in zip(self.class_names, self.per_class_f1)]
-        rows.append(("Total (micro)", self.micro_f1))
-        rows.append(("Total (macro)", self.macro_f1))
-        rows.append(("Accuracy", self.accuracy))
-        rows.append(("Labeled fraction", self.labeled_fraction))
-        return rows
+    rows: tuple[tuple[str, MeanStd], ...]
 
 
 def aggregate_records(records: Sequence[RunRecord]) -> AggregateReport:
@@ -68,22 +58,15 @@ def aggregate_records(records: Sequence[RunRecord]) -> AggregateReport:
         if seeds.count(seed) > 1:
             raise ConfigurationError(f"run records repeat seed {seed} of config {first.config_hash}")
 
-    num_classes = len(first.class_names)
-    per_class = tuple(
-        _mean_std([r.final_test_metrics.per_class[i].f1 for r in records]) for i in range(num_classes)
-    )
-    return AggregateReport(
-        config_hash=first.config_hash,
-        dataset_hash=first.dataset_hash,
-        arm_label=first.arm_label,
-        class_names=tuple(first.class_names),
-        seeds=tuple(seeds),
-        per_class_f1=per_class,
-        micro_f1=_mean_std([r.final_test_metrics.micro_f1 for r in records]),
-        macro_f1=_mean_std([r.final_test_metrics.macro_f1 for r in records]),
-        accuracy=_mean_std([r.final_test_metrics.accuracy for r in records]),
-        labeled_fraction=_mean_std([r.labeled_fraction_of_train for r in records]),
-    )
+    tests = [r.final_test_metrics for r in records]
+    rows = [(name, _mean_std([t.per_class[i].f1 for t in tests])) for i, name in enumerate(first.class_names)]
+    rows += [
+        ("Total (micro)", _mean_std([t.micro_f1 for t in tests])),
+        ("Total (macro)", _mean_std([t.macro_f1 for t in tests])),
+        ("Accuracy", _mean_std([t.accuracy for t in tests])),
+        ("Labeled fraction", _mean_std([r.labeled_fraction_of_train for r in records])),
+    ]
+    return AggregateReport(first.config_hash, first.dataset_hash, first.arm_label, tuple(seeds), tuple(rows))
 
 
 def group_and_aggregate(records: Sequence[RunRecord]) -> list[AggregateReport]:
@@ -107,14 +90,8 @@ def group_and_aggregate(records: Sequence[RunRecord]) -> list[AggregateReport]:
 
 def render_table(reports: Sequence[AggregateReport]) -> str:
     """Human-readable table, one column per :func:`group_and_aggregate` report, F1 rows as percentages."""
-    row_labels = [label for label, _ in reports[0].rows()]
-    columns = []
-    for rep in reports:
-        header = f"{rep.arm_label} [{rep.config_hash}]"
-        cells = [ms.formatted() for _, ms in rep.rows()]
-        columns.append([header] + cells)
-
-    label_col = ["F1 (%)"] + row_labels
+    label_col = ["F1 (%)"] + [label for label, _ in reports[0].rows]
+    columns = [[f"{rep.arm_label} [{rep.config_hash}]"] + [ms.formatted() for _, ms in rep.rows] for rep in reports]
     widths = [max(len(v) for v in label_col)] + [max(len(v) for v in col) for col in columns]
     lines = []
     for i in range(len(label_col)):
@@ -134,13 +111,11 @@ def render_table(reports: Sequence[AggregateReport]) -> str:
 
 def write_report_csv(reports: Sequence[AggregateReport], path: str | Path) -> None:
     """Machine-readable aggregate: one row per (config, metric)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as f:
+    with Path(path).open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["config_hash", "dataset_hash", "arm_label", "n_seeds", "metric", "mean", "std"])
         for rep in reports:
-            for label, ms in rep.rows():
+            for label, ms in rep.rows:
                 writer.writerow(
                     [
                         rep.config_hash,

@@ -672,12 +672,16 @@ class TestIngestEdgeCases:
         assert str(got.value) == str(reference.value) == f"{path}:4: {message}"
 
 
+TINY_SPEC = dict(
+    GEN_SPEC, feature_dim=3, per_class_train_counts=[8, 8, 8], per_class_val_counts=[4, 4, 4], per_class_test_counts=[4, 4, 4]
+)
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
     """A 3-class, 3-feature dataset of 24 train rows, and its pristine manifest text."""
     tmp = tmp_path_factory.mktemp("tiny")
-    spec = dict(GEN_SPEC, feature_dim=3, per_class_train_counts=[8, 8, 8], per_class_val_counts=[4, 4, 4])
-    spec_file = write_yaml(tmp / "genspec.yaml", dict(spec, per_class_test_counts=[4, 4, 4]))
+    spec_file = write_yaml(tmp / "genspec.yaml", TINY_SPEC)
     assert main(["generate", "--spec", str(spec_file), "--out", str(tmp / "data")]) == 0
     return tmp / "data", (tmp / "data" / "manifest.json").read_text()
 
@@ -716,12 +720,15 @@ def mutate_bytes(data, raw: bytes) -> bytes:
 
 
 class TestByteMutations:
-    """``run`` with one input file mutated byte by byte exits 0, or 2 with one ``error:`` line.
+    """A command with one input file mutated byte by byte exits 0, or 2 with one ``error:`` line.
 
-    A mutated columns file must also leave the dataset the CSVs give.
+    ``run`` reads the columns file, the manifest and the config, and, with the
+    columns file gone and no dataset hash in the manifest, the split CSVs up to
+    ``DatasetBundle.build``. A mutated columns file must also leave the dataset
+    the CSVs give. ``generate --spec`` reads the spec, and ``report`` a run record.
     """
 
-    @pytest.mark.parametrize("name", [COLUMNS_FILE, "manifest.json", "cfg.yaml"])
+    @pytest.mark.parametrize("name", [COLUMNS_FILE, "manifest.json", "cfg.yaml", "train.csv", "val.csv"])
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_mutated_file_exits_0_or_2(self, tmp_path, capsys, tiny_dataset, name, data):
@@ -729,6 +736,11 @@ class TestByteMutations:
         data_dir = tmp_path / "data"
         shutil.copytree(pristine, data_dir, dirs_exist_ok=True)
         (data_dir / "manifest.json").write_text(manifest_text)
+        if name.endswith(".csv"):
+            (data_dir / COLUMNS_FILE).unlink()
+            manifest = json.loads(manifest_text)
+            del manifest["dataset_hash"]
+            (data_dir / "manifest.json").write_text(json.dumps(manifest))
         cfg = dict(copy.deepcopy(RUN_CFG), dataset=str(data_dir), per_class_initial=4, budget=4, seeds=[0])
         cfg["learner"]["max_epochs"] = 1
         cfg_file = write_yaml(tmp_path / "cfg.yaml", cfg)
@@ -739,6 +751,20 @@ class TestByteMutations:
             loaded = outcome(data_dir)
             with mock.patch("poolal.datafiles._read_columns", return_value=None):
                 assert isinstance(loaded, tuple) and loaded == outcome(data_dir)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_spec_exits_0_or_2(self, tmp_path, capsys, data):
+        spec_file = write_yaml(tmp_path / "genspec.yaml", TINY_SPEC)
+        spec_file.write_bytes(mutate_bytes(data, spec_file.read_bytes()))
+        assert_exit_0_or_one_error_line(capsys, ["generate", "--spec", str(spec_file), "--out", str(tmp_path / "d")])
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_record_exits_0_or_2(self, tmp_path, capsys, record_text, data):
+        path = tmp_path / "run.json"
+        path.write_bytes(mutate_bytes(data, record_text.encode("utf-8")))
+        assert_exit_0_or_one_error_line(capsys, ["report", str(path), "--out", str(tmp_path / "rep")])
 
 
 class TestRunVerb:
@@ -1104,6 +1130,21 @@ class TestReportVerb:
         main(["report", record, "--out", str(tmp_path / "r2")])
         assert (tmp_path / "r1" / "report.txt").read_bytes() == (tmp_path / "r2" / "report.txt").read_bytes()
         assert (tmp_path / "r1" / "report.csv").read_bytes() == (tmp_path / "r2" / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_an_out_path_that_is_or_is_under_a_file_is_refused_as_by_run(self, run_cfg_file, tmp_path, capsys, under):
+        main(["run", "--config", str(run_cfg_file), "--seeds", "0"])
+        record = next((tmp_path / "out").glob("run-*.json"))
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory\n")
+        out = taken / "sub" if under else taken
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["report", str(record), "--out", str(out)]) == 2
+        where = f"is under {taken}, which" if under else "exists and"
+        assert capsys.readouterr() == ("", f"error: output path {out} {where} is not a directory\n")
+        assert taken.read_bytes() == b"not a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_mismatched_datasets_refused(self, run_cfg_file, tmp_path, capsys):
         main(["run", "--config", str(run_cfg_file), "--seed", "0"])

@@ -370,13 +370,13 @@ class TestSweep:
         assert [r.seed for r in records] == [3, 1, 2]
         agg = aggregate_records(records)
         assert agg.seeds == (3, 1, 2)
-        assert agg.macro_f1.std >= 0
+        assert dict(agg.rows)["Total (macro)"].std >= 0
 
     def test_single_seed_std_zero(self):
         bundle = small_bundle()
         records = run_sweep(bundle, al_config(), [0], dataset_hash="h")
         agg = aggregate_records(records)
-        assert agg.macro_f1.std == 0.0
+        assert dict(agg.rows)["Total (macro)"].std == 0.0
 
     def test_repeated_seed_std_exactly_zero(self):
         bundle = small_bundle()
@@ -385,8 +385,8 @@ class TestSweep:
             aggregate_records(records)
         # three runs of one seed are identical records; under distinct seed labels their std is exactly 0
         agg = aggregate_records([replace(r, seed=s) for r, s in zip(records, (5, 6, 7))])
-        assert agg.macro_f1.std == 0.0
-        assert agg.micro_f1.std == 0.0
+        assert dict(agg.rows)["Total (macro)"].std == 0.0
+        assert dict(agg.rows)["Total (micro)"].std == 0.0
 
     def test_three_jobs_fork_two_children_and_reap_them(self, forked):
         """The main process runs the last of the three stacks itself."""

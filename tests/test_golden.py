@@ -2,9 +2,11 @@
 
 The records cover every arm on the preset written by ``generate`` and read back
 through CSV ingest, so a change anywhere from the generator to the record
-writer that moves a single draw, float or key shows up here. Learners train
-for a few epochs only, to keep the module fast. A digest is re-pinned only
-with a reason recorded in CHANGES.md.
+writer that moves a single draw, float or key shows up here. The tables that
+``report --out`` writes over the four records are pinned too, so a change to
+the aggregate or its rendering shows up as well. Learners train for a few
+epochs only, to keep the module fast. A digest is re-pinned only with a
+reason recorded in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ RECORD_SHA256 = {
     "proportional_random": "56e3c2a803f50a70d2c15301a0b5eb7a17f019655a73c12a92b542c823707457",
     "sl": "e6c441ad2aa06871bbbf8adfd1812dbdeabd75e88e0c2ae3052fe5a28ab7a5e0",
 }
+REPORT_SHA256 = {
+    "report.txt": "474f6d13a06ac229f209fd58d42caf4fe3b13a0b7d39880e4592aefbe2abe491",
+    "report.csv": "797f60526370e9714ba742118cd6f6a3507916de66cde916a9cf495bf4f15557",
+}
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +63,26 @@ def test_preset_dataset_hash(preset_dir):
     assert manifest["dataset_hash"] == PRESET_DATASET_HASH
 
 
-@pytest.mark.parametrize("arm", sorted(ARMS))
-def test_run_record_digest(arm, preset_bundle, tmp_path):
+@pytest.fixture(scope="module")
+def record_paths(preset_bundle, tmp_path_factory):
     bundle, dataset_hash = preset_bundle
-    config = ExperimentConfig.from_dict(dict(ARMS[arm], dataset="data", seeds=[0]))
-    path = tmp_path / "record.json"
-    save_run_record(run_one(bundle, config, 0, dataset_hash), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORD_SHA256[arm]
+    out = tmp_path_factory.mktemp("records")
+    paths = {}
+    for arm in sorted(ARMS):
+        config = ExperimentConfig.from_dict(dict(ARMS[arm], dataset="data", seeds=[0]))
+        paths[arm] = out / f"{arm}.json"
+        save_run_record(run_one(bundle, config, 0, dataset_hash), paths[arm])
+    return paths
+
+
+@pytest.mark.parametrize("arm", sorted(ARMS))
+def test_run_record_digest(arm, record_paths):
+    assert hashlib.sha256(record_paths[arm].read_bytes()).hexdigest() == RECORD_SHA256[arm]
+
+
+def test_report_table_digests(record_paths, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(["report", *map(str, record_paths.values()), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "report.txt").read_text(encoding="utf-8")
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REPORT_SHA256}
+    assert digests == REPORT_SHA256
